@@ -5,8 +5,10 @@ wall time for one pair at each size, on a serial machine and on a
 4-worker shared-memory :class:`~repro.parallel.processes.ProcessMachine`,
 stepping through the optimization ladder::
 
-    baseline    vectorize=F fuse_rounds=F pipeline=F, scalar precalc build
-    +vectorize  vectorize=T (and the vectorized table build it warms)
+    baseline    multiply=steady_ant_combined fuse_rounds=F pipeline=F,
+                scalar precalc build
+    +vectorize  the library multiply (level-vectorized steady ant, and
+                the vectorized table build it warms)
     +fuse       ... fuse_rounds=T
     +pipeline   ... pipeline=T            (the shipped defaults)
 
@@ -42,11 +44,14 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from common import add_quick_flag, apply_quick, commit_hash  # noqa: E402
 
+# (config, grid toggles, scalar multiply?, precalc build); the baseline
+# passes the scalar combined recursion explicitly, every later rung the
+# library default multiply
 LADDER = [
-    ("baseline", dict(vectorize=False, fuse_rounds=False, pipeline=False), "scalar"),
-    ("+vectorize", dict(vectorize=True, fuse_rounds=False, pipeline=False), "vectorized"),
-    ("+fuse", dict(vectorize=True, fuse_rounds=True, pipeline=False), "vectorized"),
-    ("+pipeline", dict(vectorize=True, fuse_rounds=True, pipeline=True), "vectorized"),
+    ("baseline", dict(fuse_rounds=False, pipeline=False), True, "scalar"),
+    ("+vectorize", dict(fuse_rounds=False, pipeline=False), False, "vectorized"),
+    ("+fuse", dict(fuse_rounds=True, pipeline=False), False, "vectorized"),
+    ("+pipeline", dict(fuse_rounds=True, pipeline=True), False, "vectorized"),
 ]
 
 
@@ -60,13 +65,16 @@ def _measure_one(spec: dict) -> dict:
 
     from repro.core.combing.iterative import iterative_combing_antidiag_simd
     from repro.core.combing.parallel import parallel_hybrid_combing_grid
+    from repro.core.steady_ant import steady_ant_combined
     from repro.parallel import ProcessMachine, SerialMachine
 
     n = spec["n"]
     rng = np.random.default_rng(2021)
     a, b = rng.integers(0, 4, n), rng.integers(0, 4, n)
     oracle = iterative_combing_antidiag_simd(a, b)
-    toggles = spec["toggles"]
+    toggles = dict(spec["toggles"])
+    if spec["scalar_multiply"]:
+        toggles["multiply"] = steady_ant_combined
     if spec["machine"] == "serial":
         machine = SerialMachine()
         start = time.perf_counter()
@@ -162,9 +170,10 @@ def main(argv: list[str] | None = None) -> int:
     if not args.micro_only:
         for n in args.sizes:
             for machine in ("serial", "processes"):
-                for config, toggles, precalc in LADDER:
+                for config, toggles, scalar, precalc in LADDER:
                     spec = {"n": n, "machine": machine, "config": config,
-                            "workers": args.workers, "toggles": toggles}
+                            "workers": args.workers, "toggles": toggles,
+                            "scalar_multiply": scalar}
                     rec = run_subprocess(spec, precalc)
                     runs.append(rec)
                     print(f"n={n:6d} {machine:9s} {config:11s} "

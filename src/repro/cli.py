@@ -237,7 +237,6 @@ def _cmd_parallel(args) -> int:
         with cleanup_on_signals(release_all_arenas):
             ca, cb = encode(args.a), encode(args.b)
             grid_kwargs = {
-                "vectorize": not args.no_vectorize,
                 "fuse_rounds": not args.no_fuse_rounds,
                 "fuse_budget": args.fuse_budget,
                 "pipeline": not args.no_pipeline,
@@ -862,11 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="seed for chaos + backoff jitter")
     g = p.add_argument_group("compute toggles (hybrid grid)")
-    g.add_argument(
-        "--no-vectorize",
-        action="store_true",
-        help="use the scalar steady ant for braid multiplications",
-    )
     g.add_argument(
         "--no-fuse-rounds",
         action="store_true",

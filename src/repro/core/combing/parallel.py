@@ -400,7 +400,6 @@ def parallel_hybrid_combing_grid(
     multiply=None,
     strand_limit: int | None = None,
     checkpoint=None,
-    vectorize: bool = True,
     fuse_rounds: bool = True,
     fuse_budget: int | None = None,
     pipeline: bool = True,
@@ -410,17 +409,14 @@ def parallel_hybrid_combing_grid(
     Round 0 combs all ``m_outer x n_outer`` sub-blocks; the reduction
     (always along the blocks' longest side) then runs as a dataflow of
     composition tasks. ``n_tasks`` defaults to ``2 * machine.workers``
-    so the dynamic schedule has slack to balance.
+    so the dynamic schedule has slack to balance. Compositions multiply
+    with *multiply* (default: the library's level-vectorized
+    :data:`~repro.core.steady_ant.steady_ant_multiply`).
 
     Compute-gap toggles (all independently switchable, all
     result-identical — the plan fixes the reduction tree, and kernel
     composition along a fixed tree is associative):
 
-    - ``vectorize`` — braid multiplications inside compositions use the
-      level-vectorized steady ant
-      (:func:`~repro.core.steady_ant.vectorized.steady_ant_vectorized`)
-      instead of the scalar combined recursion. Ignored when an explicit
-      *multiply* is passed.
     - ``fuse_rounds`` / ``fuse_budget`` — adjacent reduction levels
       whose tasks keep their external kernel payload within
       *fuse_budget* bytes (default
@@ -468,7 +464,7 @@ def parallel_hybrid_combing_grid(
             a, b, machine,
             n_tasks=n_tasks, blend=blend, use_16bit=use_16bit,
             multiply=multiply, strand_limit=strand_limit, checkpoint=checkpoint,
-            vectorize=vectorize, fuse_rounds=fuse_rounds,
+            fuse_rounds=fuse_rounds,
             fuse_budget=fuse_budget, pipeline=pipeline,
         )
 
@@ -484,7 +480,6 @@ def _parallel_hybrid_grid_impl(
     multiply=None,
     strand_limit: int | None = None,
     checkpoint=None,
-    vectorize: bool = True,
     fuse_rounds: bool = True,
     fuse_budget: int | None = None,
     pipeline: bool = True,
@@ -494,10 +489,7 @@ def _parallel_hybrid_grid_impl(
     if m == 0 or n == 0:
         return np.arange(m + n, dtype=np.int64)
     if multiply is None:
-        if vectorize:
-            from ..steady_ant import steady_ant_vectorized as multiply
-        else:
-            from ..steady_ant import steady_ant_multiply as multiply
+        from ..steady_ant import steady_ant_multiply as multiply
     if n_tasks is None:
         n_tasks = max(1, 2 * machine.workers)
 

@@ -51,8 +51,11 @@ def compose_vertical(
 ) -> PermArray:
     """Theorem 3.4: kernel of ``a = a_top a_bottom`` against ``b``.
 
-    *multiply* is the braid-multiplication routine (defaults to steady
-    ant); injected by the hybrid algorithm's benchmarks.
+    *multiply* is the braid-multiplication routine (default: the
+    library's level-vectorized steady ant,
+    :data:`~repro.core.steady_ant.steady_ant_multiply`, which answers
+    the identity padding blocks of this product without recursing into
+    them); injected by the hybrid algorithm's benchmarks.
 
     Observability: every composition — vertical, and horizontal via its
     reduction to this function — counts in ``combing.grid_composes``,

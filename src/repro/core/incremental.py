@@ -41,7 +41,9 @@ class KernelBuilder:
         Combing algorithm for new blocks (default: vectorized
         anti-diagonal iterative combing).
     multiply:
-        Braid multiplication for compositions (default: steady ant).
+        Braid multiplication for compositions (default: the library's
+        level-vectorized steady ant,
+        :data:`~repro.core.steady_ant.steady_ant_multiply`).
     """
 
     def __init__(self, b: Sequenceish, *, comb=None, multiply=None):

@@ -4,7 +4,16 @@ The *steady ant* algorithm of Tiskin (2015) multiplies two reduced sticky
 braids — equivalently, computes the (min,+) product of two simple
 unit-Monge distribution matrices — in O(n log n) time (paper Listing 2).
 
-Implementations, mirroring the paper's §5.1 ablation:
+The library's braid multiplication, :data:`steady_ant_multiply`, is
+:func:`repro.core.steady_ant.vectorized.steady_ant_vectorized` — the
+level-vectorized engine: breadth-first expansion with batched lane
+splits, identity-lane pruning (a sub-product with an identity factor is
+the other factor, which is what composition padding produces) and a
+batched dense (min,+) base case. Every Theorem 3.4/3.5 composition,
+incremental append/prepend, hybrid and grid combing uses it.
+
+The scalar recursions remain as the subjects of the paper's §5.1
+ablation (Fig. 4a); all are bit-identical to the default:
 
 - :func:`repro.core.steady_ant.sequential.steady_ant_sequential` — the
   plain divide-and-conquer algorithm ("base"),
@@ -13,15 +22,9 @@ Implementations, mirroring the paper's §5.1 ablation:
 - :func:`repro.core.steady_ant.memory.steady_ant_memory` — preallocated
   memory arena, no per-level allocation ("memory"),
 - :func:`repro.core.steady_ant.combined.steady_ant_combined` — both
-  optimizations ("combined"); this is :data:`steady_ant_multiply`, the
-  default multiplication used across the library,
+  optimizations ("combined"),
 - :func:`repro.core.steady_ant.parallel.steady_ant_parallel` — the
-  task-parallel version of Listing 5,
-- :func:`repro.core.steady_ant.vectorized.steady_ant_vectorized` — the
-  level-vectorized engine: breadth-first expansion with batched lane
-  splits and a batched dense (min,+) base case (bit-identical to
-  "combined", ~2x faster warm; every scalar entry point exposes it via a
-  ``vectorize=`` knob),
+  task-parallel version of Listing 5 (Fig. 4b),
 - :func:`repro.core.steady_ant.naive.sticky_multiply_dense` — O(n^3)
   explicit reference (re-exported from :mod:`repro.core.dist_matrix`).
 """
@@ -34,7 +37,7 @@ from .vectorized import steady_ant_vectorized, warm_compute_kernels
 from .naive import sticky_multiply_dense, sticky_multiply_quadratic
 
 #: Default braid multiplication used throughout the library.
-steady_ant_multiply = steady_ant_combined
+steady_ant_multiply = steady_ant_vectorized
 
 __all__ = [
     "steady_ant_sequential",

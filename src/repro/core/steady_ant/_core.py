@@ -53,22 +53,6 @@ import numpy as np
 from ...types import PermArray
 
 
-def resolve_multiply(vectorize: bool, base_order: int | None = None):
-    """Map the public ``vectorize=`` knob to a multiply callable.
-
-    ``None`` when *vectorize* is off — the caller keeps its scalar
-    recursion. Otherwise a closure over the level-vectorized engine of
-    :mod:`.vectorized` (lazy import: that module builds on this one),
-    stopping at *base_order* (its measured default when ``None``).
-    """
-    if not vectorize:
-        return None
-    from .vectorized import DEFAULT_BASE_ORDER, _multiply_vectorized
-
-    order = DEFAULT_BASE_ORDER if base_order is None else base_order
-    return lambda p, q: _multiply_vectorized(p, q, order)
-
-
 def split_p(p: np.ndarray, h: int):
     """Split P by columns at *h*; return compacted halves + row mappings."""
     mask_lo = p < h

@@ -38,7 +38,6 @@ def steady_ant_parallel(
     machine=None,
     depth: int | None = None,
     leaf_multiply=steady_ant_combined,
-    vectorize: bool = False,
 ) -> PermArray:
     """Sticky product ``p ⊙ q`` with ``2^depth``-way task parallelism.
 
@@ -46,10 +45,10 @@ def steady_ant_parallel(
     tasks as workers, giving the dynamic schedule slack). ``depth = 0``
     degenerates to the sequential algorithm.
 
-    ``vectorize=True`` runs each leaf sub-multiplication through the
-    level-vectorized engine (:func:`~.vectorized.steady_ant_vectorized`)
-    instead of the scalar combined recursion — the leaves are where all
-    the parallel work lives, so this composes with task parallelism.
+    ``leaf_multiply`` defaults to the scalar combined recursion, the
+    sequential kernel the paper parallelizes in Fig. 4b; pass
+    :data:`~repro.core.steady_ant.steady_ant_multiply` to run the leaves
+    on the level-vectorized engine instead.
 
     Observability: a ``steady_ant.parallel`` span wraps the whole
     call; ``steady_ant.parallel_leaves`` counts the leaf
@@ -61,10 +60,6 @@ def steady_ant_parallel(
     n = p.size
     if n != q.size:
         raise ShapeMismatchError(f"orders differ: {n} vs {q.size}")
-    if vectorize and leaf_multiply is steady_ant_combined:
-        from .vectorized import steady_ant_vectorized
-
-        leaf_multiply = steady_ant_vectorized
     if machine is None:
         machine = SerialMachine()
     if depth is None:

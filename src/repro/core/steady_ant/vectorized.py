@@ -14,6 +14,13 @@ process *all nodes of one recursion level as stacked batch lanes*.
   the rank assignment (``argsort`` + ``put_along_axis`` scatter, replacing
   ``B`` separate ``searchsorted`` calls) each run as one NumPy op for the
   whole level.
+- **Identity lanes** are pruned before they split: one equality test
+  against the iota per stacked size group finds the nodes where either
+  factor is the identity, and such a node's product is the other
+  factor. Every Theorem 3.4 composition multiplies
+  ``(id ⊕ P1) ⊙ (P2 ⊕ id)``, so the padding blocks separate into
+  identity lanes within a few levels and whole subtrees are never
+  expanded (``steady_ant.vectorized_identity_lanes`` counts them).
 - **Base cases** stop at ``base_order`` (default 16, measured optimum)
   and are answered by one *batched dense (min,+) product*
   (:func:`batch_sticky_multiply`): ``B`` distribution matrices are built
@@ -155,15 +162,24 @@ def batch_sticky_multiply(ps: np.ndarray, qs: np.ndarray) -> np.ndarray:
     return np.argmax(diff == 1, axis=2).astype(np.int64)
 
 
-def _split_level(nodes: list, base_order: int):
+def _split_level(nodes: list, base_order: int, stats: list | None):
     """Split every splittable node of one level, vectorized per size
     group (all nodes of one level have one of at most two orders).
 
+    Identity lanes are pruned first: one ``(ps == iota).all(1)`` /
+    ``(qs == iota).all(1)`` test over each stacked size group marks the
+    nodes where either factor is the identity, whose product is simply
+    the other factor (``id ⊙ q = q``, ``p ⊙ id = p``). Composition
+    inputs are ``(id ⊕ P1) ⊙ (P2 ⊕ id)`` (Theorem 3.4), so such lanes
+    appear within a level or two of the root and cut whole subtrees.
+
     Returns ``(metas, children)``: ``metas[i]`` is ``None`` for a node
-    kept whole (already at or below *base_order*) or the
+    kept whole (already at or below *base_order*), the node's product
+    (an array) for a pruned identity lane, or the
     ``(rows_lo, cols_lo, rows_hi, cols_hi, n)`` combine metadata;
     ``children`` is the next level's node list in canonical order (lo
-    then hi per split node, pass-throughs in place).
+    then hi per split node, pass-throughs in place, nothing for pruned
+    lanes).
     """
     by_n: dict[int, list[int]] = {}
     for i, (pp, _) in enumerate(nodes):
@@ -173,10 +189,24 @@ def _split_level(nodes: list, base_order: int):
     for n, idxs in by_n.items():
         if n <= max(base_order, 1):
             continue
-        B = len(idxs)
-        h = n // 2
         ps = np.stack([nodes[i][0] for i in idxs])
         qs = np.stack([nodes[i][1] for i in idxs])
+        iota = _iota(n)
+        p_id = (ps == iota).all(1)
+        q_id = (qs == iota).all(1)
+        pruned = p_id | q_id
+        if pruned.any():
+            for k in np.flatnonzero(pruned):
+                metas[idxs[k]] = qs[k] if p_id[k] else ps[k]
+            if stats is not None:
+                stats[2] += int(pruned.sum())
+            keep = ~pruned
+            idxs = [i for i, kept in zip(idxs, keep) if kept]
+            if not idxs:
+                continue
+            ps, qs = ps[keep], qs[keep]
+        B = len(idxs)
+        h = n // 2
         # split_p for all lanes: each row has exactly h values < h, so the
         # nonzero column indices reshape to exact (B, h)/(B, n-h) blocks
         mask = ps < h
@@ -201,7 +231,7 @@ def _split_level(nodes: list, base_order: int):
     for i, node in enumerate(nodes):
         if metas[i] is None:
             children.append(node)
-        else:
+        elif split_children[i] is not None:
             lo, hi = split_children[i]
             children.append(lo)
             children.append(hi)
@@ -234,13 +264,13 @@ def _multiply_vectorized(
     p: np.ndarray, q: np.ndarray, base_order: int, stats: list | None = None
 ) -> np.ndarray:
     """Breadth-first level-vectorized product (no metrics, no checks) —
-    the shared engine behind :func:`steady_ant_vectorized` and the
-    ``vectorize=`` knobs of the scalar entry points."""
+    the engine behind :func:`steady_ant_vectorized`. *stats*, when
+    given, accumulates ``[base lanes, levels, identity lanes]``."""
     nodes = [(p, q)]
     meta_levels = []
     floor = max(base_order, 1)
     while any(pp.size > floor for pp, _ in nodes):
-        metas, nodes = _split_level(nodes, base_order)
+        metas, nodes = _split_level(nodes, base_order, stats)
         meta_levels.append(metas)
     if stats is not None:
         stats[1] += len(meta_levels)
@@ -251,6 +281,9 @@ def _multiply_vectorized(
         for meta in metas:
             if meta is None:
                 merged.append(next(it))
+                continue
+            if isinstance(meta, np.ndarray):  # pruned identity lane
+                merged.append(meta)
                 continue
             rows_lo, cols_lo, rows_hi, cols_hi, n = meta
             r_lo = next(it)
@@ -265,13 +298,16 @@ def steady_ant_vectorized(
     p: PermArray, q: PermArray, *, base_order: int = DEFAULT_BASE_ORDER
 ) -> PermArray:
     """Sticky product ``p ⊙ q``, level-vectorized (bit-identical to
-    :func:`~.combined.steady_ant_combined`).
+    :func:`~.combined.steady_ant_combined`). This is the library's
+    braid multiplication, :data:`repro.core.steady_ant.steady_ant_multiply`.
 
     Observability (flushed once per call): a
     ``steady_ant.vectorized`` span, ``steady_ant.vectorized_multiplies``
     / ``steady_ant.vectorized_base_hits`` (lanes answered by the batched
-    base kernel) / ``steady_ant.vectorized_levels`` counters, and the
-    shared ``steady_ant.order`` histogram.
+    base kernel) / ``steady_ant.vectorized_levels`` /
+    ``steady_ant.vectorized_identity_lanes`` (lanes pruned because a
+    factor was the identity) counters, and the shared
+    ``steady_ant.order`` histogram.
     """
     p = np.ascontiguousarray(p, dtype=np.int64)
     q = np.ascontiguousarray(q, dtype=np.int64)
@@ -280,13 +316,14 @@ def steady_ant_vectorized(
         raise ShapeMismatchError(f"orders differ: {n} vs {q.size}")
     if n == 0:
         return p.copy()
-    stats = [0, 0]  # [base lanes, levels]
+    stats = [0, 0, 0]  # [base lanes, levels, identity lanes]
     with get_tracer().span("steady_ant.vectorized", args={"order": int(n)}):
         result = _multiply_vectorized(p, q, base_order, stats)
     metrics = get_metrics()
     metrics.inc("steady_ant.vectorized_multiplies", 1)
     metrics.inc("steady_ant.vectorized_base_hits", stats[0])
     metrics.inc("steady_ant.vectorized_levels", stats[1])
+    metrics.inc("steady_ant.vectorized_identity_lanes", stats[2])
     metrics.get("steady_ant.order").observe(n)
     return np.asarray(result, dtype=np.int64)
 

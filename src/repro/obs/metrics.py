@@ -397,7 +397,7 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
     ("combing.wavefront_rounds", "counter", "rounds", "core.combing",
      "Anti-diagonal rounds submitted by wavefront combing (Listing 4)."),
     ("steady_ant.multiplies", "counter", "calls", "core.steady_ant",
-     "Top-level steady-ant braid multiplications (steady_ant_combined)."),
+     "Top-level scalar steady-ant multiplications by steady_ant_combined, the Fig. 4a ablation entry point (the library default counts in steady_ant.vectorized_multiplies)."),
     ("steady_ant.base_case_hits", "counter", "calls", "core.steady_ant",
      "Recursion leaves answered by the precalc table (sequential switch, paper section 5.1)."),
     ("steady_ant.max_depth", "gauge", "levels", "core.steady_ant",
@@ -418,6 +418,8 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
      "Recursion leaves answered by the batched dense (min,+) base kernel (lanes across all levels)."),
     ("steady_ant.vectorized_levels", "counter", "levels", "core.steady_ant",
      "Recursion levels expanded breadth-first by the vectorized steady ant."),
+    ("steady_ant.vectorized_identity_lanes", "counter", "lanes", "core.steady_ant",
+     "Vectorized steady-ant lanes answered without recursion because one factor was the identity (composition padding)."),
     ("steady_ant.vectorized_plan_builds", "counter", "plans", "core.steady_ant",
      "Cold growths of the shared index buffer behind the batched kernels (zero after warm_compute_kernels)."),
     ("compute.fused_tasks", "counter", "tasks", "core.combing",

@@ -118,10 +118,10 @@ def bsp_cost_of_steady_ant(
        result) and runs the sequential ant passage.
     """
     from ..core.steady_ant._core import combine, split_p, split_q
-    from ..core.steady_ant.combined import steady_ant_combined
+    from ..core.steady_ant import steady_ant_multiply
 
     if leaf_multiply is None:
-        leaf_multiply = steady_ant_combined
+        leaf_multiply = steady_ant_multiply
     model = BSPCostModel(p=processors)
 
     # --- split phase (sequential on the root processor) ----------------

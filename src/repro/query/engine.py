@@ -75,8 +75,9 @@ class QueryEngine:
         Combing algorithm ``(ca, cb) -> kernel`` for cache misses;
         defaults to the vectorized anti-diagonal iterative combing.
     multiply:
-        Braid multiplication used by :meth:`append` compositions
-        (default: steady ant).
+        Braid multiplication used by :meth:`append` / :meth:`prepend`
+        compositions (default: the library's level-vectorized steady
+        ant, :data:`~repro.core.steady_ant.steady_ant_multiply`).
     dense_threshold:
         Passed through to :class:`~repro.core.kernel.SemiLocalKernel` —
         kernels of order up to this use the O(1)-query dense counter.

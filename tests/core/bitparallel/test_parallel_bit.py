@@ -41,24 +41,3 @@ class TestAccounting:
         bit_lcs_parallel(a, b, machine, w=8)
         ma, nb = 4, 3
         assert machine.rounds == ma + nb - 1
-
-    def test_old_variant_not_faster(self, rng):
-        """Sanity bound on the Fig. 9a effect at unit-test sizes: the
-        extra gather/scatter traffic of bit_old must never make it
-        *significantly faster* than new1. At this size the expected
-        ~1.2x penalty is within timing noise, so the quantitative
-        old-vs-new claim lives in ``benchmarks/bench_fig9a_*`` (which
-        floors its input size where the gap is reliably measurable)."""
-        a = random_binary(rng, 16384)
-        b = random_binary(rng, 16384)
-
-        def run(variant):
-            machine = SimulatedMachine(workers=1)
-            bit_lcs_parallel(a, b, machine, variant=variant)
-            return machine.elapsed
-
-        run("old")  # warmup both code paths
-        run("new1")
-        t_new = min(run("new1") for _ in range(2))
-        t_old = min(run("old") for _ in range(2))
-        assert t_old > 0.8 * t_new

@@ -1,4 +1,4 @@
-"""Unit tests for the level-vectorized steady ant (PR 8).
+"""Unit tests for the level-vectorized steady ant, the library multiply.
 
 The vectorized engine must be *bit-identical* to the scalar recursion
 (it reuses the scalar combine walk), its batched dense base product must
@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.dist_matrix import sticky_multiply_dense
 from repro.core.steady_ant import (
+    steady_ant_combined,
     steady_ant_sequential,
     steady_ant_vectorized,
     warm_compute_kernels,
@@ -105,3 +106,42 @@ class TestPrecalcBuilds:
             for pp, qp, rp in zip(packed_p.tolist(), packed_q.tolist(), packed_r.tolist()):
                 want = sticky_multiply_dense(perms[pp], perms[qp])
                 assert rp == pack(want)
+
+
+class TestIdentityLanes:
+    """A sub-product with an identity factor is the other factor; the
+    engine answers such lanes without recursing and counts them."""
+
+    @staticmethod
+    def _pruned(p, q):
+        counter = get_metrics().counter("steady_ant.vectorized_identity_lanes")
+        before = counter.value
+        got = steady_ant_vectorized(p, q)
+        return got, counter.value - before
+
+    def test_no_identity_lanes_on_a_random_pair(self):
+        rng = np.random.default_rng(1024)
+        p, q = rng.permutation(1024), rng.permutation(1024)
+        got, pruned = self._pruned(p, q)
+        assert pruned == 0
+        assert np.array_equal(got, steady_ant_combined(p, q))
+
+    def test_append_shaped_compose_prunes(self):
+        from repro.core.compose import dsum_identity_first, dsum_identity_last
+
+        rng = np.random.default_rng(4144)
+        # kernel of a 1024x1024 pair composed with a 48-row appended block
+        p = dsum_identity_first(48, rng.permutation(2048))
+        q = dsum_identity_last(rng.permutation(48 + 1024), 1024)
+        got, pruned = self._pruned(p, q)
+        assert pruned > 0
+        assert np.array_equal(got, steady_ant_combined(p, q))
+
+    def test_identity_factor_at_the_root(self, rng):
+        p = rng.permutation(300)
+        ident = np.arange(300)
+        for a, b in ((ident, p), (p, ident)):
+            got, pruned = self._pruned(a, b)
+            assert pruned == 1
+            assert np.array_equal(got, p)
+            assert not np.shares_memory(got, p)

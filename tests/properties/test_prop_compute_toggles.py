@@ -1,9 +1,10 @@
-"""Property tests for PR 8's compute toggles.
+"""Property tests for the compute toggles.
 
 Every optimization is a pure scheduling/batching change, so each knob —
-vectorized steady ant, fused reduction rounds, pipelined submission,
-wavefront fusion, the multi-diagonal bit comber — must be *bit-identical*
-to its off position across random inputs, blends and strand dtypes.
+fused reduction rounds, pipelined submission, wavefront fusion, the
+multi-diagonal bit comber — must be *bit-identical* to its off position
+across random inputs, blends and strand dtypes, and the library's
+vectorized steady ant must match the scalar recursion it replaced.
 """
 
 import numpy as np
@@ -16,7 +17,11 @@ from repro.core.combing.parallel import (
     parallel_hybrid_combing_grid,
     parallel_iterative_combing,
 )
-from repro.core.steady_ant import steady_ant_sequential, steady_ant_vectorized
+from repro.core.steady_ant import (
+    steady_ant_combined,
+    steady_ant_sequential,
+    steady_ant_vectorized,
+)
 from repro.parallel import SerialMachine, ThreadMachine
 
 strings = st.text(alphabet="abcd", min_size=1, max_size=40)
@@ -43,16 +48,16 @@ def test_vectorized_equals_scalar(pq):
 def test_all_toggle_combinations_agree(a, b, blend, use_16bit):
     machine = SerialMachine()
     want = hybrid_combing_grid(a, b, 3)
-    for vectorize in (False, True):
+    for multiply in (steady_ant_combined, None):
         for fuse_rounds in (False, True):
             for pipeline in (False, True):
                 got = parallel_hybrid_combing_grid(
                     a, b, machine, n_tasks=4, blend=blend, use_16bit=use_16bit,
-                    vectorize=vectorize, fuse_rounds=fuse_rounds,
+                    multiply=multiply, fuse_rounds=fuse_rounds,
                     pipeline=pipeline,
                 )
                 assert np.array_equal(np.asarray(got, dtype=np.int64), want), (
-                    vectorize, fuse_rounds, pipeline)
+                    multiply, fuse_rounds, pipeline)
 
 
 @given(strings, strings, st.sampled_from([0, 64, 4096, None, 10**9]))
@@ -61,7 +66,7 @@ def test_fuse_budget_never_changes_the_kernel(a, b, budget):
     machine = SerialMachine()
     want = parallel_hybrid_combing_grid(
         a, b, machine, n_tasks=4, fuse_rounds=False, pipeline=False,
-        vectorize=False,
+        multiply=steady_ant_combined,
     )
     got = parallel_hybrid_combing_grid(
         a, b, machine, n_tasks=4, fuse_rounds=True, fuse_budget=budget,
