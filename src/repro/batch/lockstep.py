@@ -25,11 +25,12 @@ the padded run is exactly the real run with every strand id shifted by
 character values are irrelevant (matches at invalid cells are masked),
 so no sentinel symbol is needed and negative codes are safe.
 
-The default ``arith`` lane blend is the branch-free arithmetic swap
-``d = (v - h) * p; h += d; v -= d`` on preallocated scratch — exact even
-for ``uint16`` strands under modular arithmetic, and the fastest blend
-measured (no per-diagonal allocation at all). The other blends reuse the
-select idioms of the single-pair comber.
+The lanes are combed by the library's one comb kernel,
+:func:`repro.core.combing.iterative.comb_cells` (the default ``arith``
+blend: the in-place arithmetic swap ``d = (v - h) * p; h += d; v -= d``
+on preallocated scratch, exact for ``uint16`` strands), which takes the
+``(positions, lanes)`` stacks and validity masks directly. The other
+blends are the single-pair comber's §4.1 ablation idioms.
 """
 
 from __future__ import annotations
@@ -37,23 +38,21 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.combing.iterative import (
-    _BLENDS,
-    _UNSIGNED_LIMIT_16,
+    BLENDS,
     _antidiag_ranges,
+    _comb_region_simd,
     _extract_kernel,
-    _minmax_select,
+    _strands_dtype,
 )
 
 #: lane blends supported by :func:`comb_lockstep`
-BATCH_BLENDS = ("where", "masked", "arith", "bitwise", "minmax")
+BATCH_BLENDS = BLENDS
 
 
 def lockstep_strand_dtype(M: int, N: int, use_16bit: bool = True) -> np.dtype:
     """Strand dtype for a bucket of shape ``(M, N)``: ``uint16`` when all
     ``M + N`` strand ids fit (halved memory traffic), else ``int64``."""
-    if use_16bit and M + N <= _UNSIGNED_LIMIT_16:
-        return np.dtype(np.uint16)
-    return np.dtype(np.int64)
+    return _strands_dtype(M, N, use_16bit)
 
 
 def code_dtype_for(pairs) -> np.dtype:
@@ -120,70 +119,6 @@ def pack_lanes(
     return a_rev, b_codes, h_valid, b_valid, lane_m, lane_n
 
 
-def _comb_arith(a_rev, b_codes, h, v, h_valid, b_valid) -> None:
-    """The fast path: in-place arithmetic swap on preallocated scratch."""
-    M, B = h.shape
-    N = v.shape[0]
-    W = min(M, N)
-    p = np.empty((W, B), dtype=np.bool_)
-    q = np.empty((W, B), dtype=np.bool_)
-    d = np.empty((W, B), dtype=h.dtype)
-    for length, h_lo, v_lo in _antidiag_ranges(M, N):
-        h_sl = slice(h_lo, h_lo + length)
-        v_sl = slice(v_lo, v_lo + length)
-        hh = h[h_sl]
-        vv = v[v_sl]
-        pp = p[:length]
-        qq = q[:length]
-        dd = d[:length]
-        np.equal(a_rev[h_sl], b_codes[v_sl], out=pp)
-        np.greater(hh, vv, out=qq)
-        np.logical_or(pp, qq, out=pp)
-        if h_valid is not None:
-            np.logical_and(pp, h_valid[h_sl], out=pp)
-            np.logical_and(pp, b_valid[v_sl], out=pp)
-        # swap iff pp: exact under modular arithmetic for unsigned dtypes
-        np.subtract(vv, hh, out=dd)
-        np.multiply(dd, pp, out=dd, casting="unsafe")
-        np.add(hh, dd, out=hh)
-        np.subtract(vv, dd, out=vv)
-
-
-def _comb_generic(a_rev, b_codes, h, v, h_valid, b_valid, blend: str) -> None:
-    """The remaining blends via the single-pair select idioms."""
-    M = h.shape[0]
-    N = v.shape[0]
-    minmax = blend == "minmax"
-    select = None if minmax else _BLENDS[blend]
-    for length, h_lo, v_lo in _antidiag_ranges(M, N):
-        h_sl = slice(h_lo, h_lo + length)
-        v_sl = slice(v_lo, v_lo + length)
-        hh = h[h_sl]
-        vv = v[v_sl]
-        if h_valid is not None:
-            valid = h_valid[h_sl] & b_valid[v_sl]
-        else:
-            valid = None
-        if minmax:
-            match = np.equal(a_rev[h_sl], b_codes[v_sl])
-            if valid is not None:
-                match &= valid
-            new_h, new_v = _minmax_select(hh, vv, match)
-            if valid is not None:
-                # min/max sorts even unmatched lanes: undo it at padding
-                # cells, which must stay untouched
-                invalid = ~valid
-                np.copyto(new_h, hh, where=invalid)
-                np.copyto(new_v, vv, where=invalid)
-        else:
-            cond = np.equal(a_rev[h_sl], b_codes[v_sl]) | np.greater(hh, vv)
-            if valid is not None:
-                cond &= valid
-            new_h, new_v = select(hh, vv, cond)
-        h[h_sl] = new_h
-        v[v_sl] = new_v
-
-
 def _lane_scores(v, b_valid, lane_n, M: int) -> np.ndarray:
     """Per-lane LCS scores straight from the final vertical strands.
 
@@ -207,7 +142,7 @@ def _lane_kernels(h, v, lane_m, lane_n, M: int, N: int) -> np.ndarray:
     ``0 .. n_k`` of ``v``, uniformly shifted by ``M - m_k``.
     """
     B = h.shape[1]
-    out_dt = np.uint16 if M + N <= _UNSIGNED_LIMIT_16 else np.int64
+    out_dt = _strands_dtype(M, N, True)
     out = np.zeros((B, M + N), dtype=out_dt)
     h64 = h.astype(np.int64)
     v64 = v.astype(np.int64)
@@ -251,10 +186,9 @@ def comb_lockstep(
     v = np.empty((N, B), dtype=dt)
     h[:] = np.arange(M, dtype=dt)[:, None]
     v[:] = np.arange(M, M + N, dtype=dt)[:, None]
-    if blend == "arith":
-        _comb_arith(a_rev, b_codes, h, v, h_valid, b_valid)
-    else:
-        _comb_generic(a_rev, b_codes, h, v, h_valid, b_valid, blend)
+    _comb_region_simd(
+        a_rev, b_codes, h, v, _antidiag_ranges(M, N), blend, h_valid, b_valid
+    )
     if want == "scores":
         return _lane_scores(v, b_valid, lane_n, M)
     return _lane_kernels(h, v, lane_m, lane_n, M, N)

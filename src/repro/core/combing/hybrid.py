@@ -60,7 +60,7 @@ def hybrid_combing(
     depth: int = 2,
     *,
     multiply=None,
-    blend: str = "where",
+    blend: str = "arith",
     use_16bit: bool = True,
     on_leaf=None,
 ) -> PermArray:
@@ -305,7 +305,7 @@ def hybrid_combing_grid(
     n_tasks: int = 8,
     *,
     multiply=None,
-    blend: str = "where",
+    blend: str = "arith",
     use_16bit: bool = True,
     strand_limit: int | None = None,
     reduction: str = "longest-side",
@@ -356,7 +356,7 @@ def _hybrid_combing_grid_impl(
     n_tasks: int = 8,
     *,
     multiply=None,
-    blend: str = "where",
+    blend: str = "arith",
     use_16bit: bool = True,
     strand_limit: int | None = None,
     reduction: str = "longest-side",

@@ -25,9 +25,12 @@ Variants implemented here:
 - :func:`iterative_combing_antidiag` — Listing 4's anti-diagonal order
   with a scalar, *branching* inner loop (``semi_antidiag``).
 - :func:`iterative_combing_antidiag_simd` — anti-diagonal order with a
-  branchless vectorized inner loop (``semi_antidiag_SIMD``); the ``blend``
-  parameter selects the select-idiom (the paper's §4.1 ablation) and
-  ``dtype`` enables the 16-bit strand-index optimization.
+  branchless vectorized inner loop (``semi_antidiag_SIMD``): by default
+  the in-place comb kernel :func:`comb_cells` on 16-bit strands; the
+  ``blend`` parameter selects a select-idiom instead (the paper's §4.1
+  ablation) and ``dtype`` overrides the strand-index width.
+- :func:`comb_cells` — the one comb kernel, shared by every combing
+  path of the library and by the batch tier's lockstep lanes.
 - :func:`iterative_combing_load_balanced` — the three-phase variant
   (``semi_load_balanced``): each phase combed as an independent sub-braid,
   converted to cut coordinates and recombined with sticky braid
@@ -160,6 +163,56 @@ def iterative_combing_antidiag(a: Sequenceish, b: Sequenceish) -> PermArray:
     return _extract_kernel(np.asarray(h_strands), np.asarray(v_strands))
 
 
+def comb_cells(a_rev, cb, h, v, ranges, h_valid=None, b_valid=None) -> None:
+    """The comb kernel: comb the cells described by *ranges* in place.
+
+    A comb cell is a comparator of the transposition network
+    (Krusche & Tiskin): on a mismatch the two strands sort themselves to
+    ``(min, max)``, on a match they swap. Both collapse to "swap iff
+    ``p``" with ``p = (a == b) | (h > v)``, and the swap is in-place
+    arithmetic on preallocated scratch::
+
+        d = (v - h) * p;  h += d;  v -= d
+
+    Exact under ``uint16`` wraparound (``h + (v - h) == v`` modulo
+    2^16), and it allocates nothing per anti-diagonal — the select idioms
+    (``np.where``/``np.copyto(where=)``) allocate or run a slow masked
+    loop on every call.
+
+    *ranges* is any iterable of ``(length, h_lo, v_lo)``: cell ``k`` of a
+    range compares ``a_rev[h_lo + k]`` with ``cb[v_lo + k]`` and combs
+    ``h[h_lo + k]`` against ``v[v_lo + k]``. The arrays are either 1-D
+    (one pair) or ``(positions, lanes)`` stacks combing many grids in
+    lockstep; *h_valid* / *b_valid* (same shapes as ``a_rev`` / ``cb``)
+    gate padding cells of ragged lanes so they never swap.
+    """
+    width = (min(h.shape[0], v.shape[0]),) + h.shape[1:]
+    p = np.empty(width, dtype=np.bool_)
+    q = np.empty(width, dtype=np.bool_)
+    d = np.empty(width, dtype=h.dtype)
+    for length, h_lo, v_lo in ranges:
+        h_sl = slice(h_lo, h_lo + length)
+        v_sl = slice(v_lo, v_lo + length)
+        hh = h[h_sl]
+        vv = v[v_sl]
+        pp = p[:length]
+        qq = q[:length]
+        dd = d[:length]
+        np.equal(a_rev[h_sl], cb[v_sl], out=pp)
+        np.greater(hh, vv, out=qq)
+        np.logical_or(pp, qq, out=pp)
+        if h_valid is not None:
+            np.logical_and(pp, h_valid[h_sl], out=pp)
+            np.logical_and(pp, b_valid[v_sl], out=pp)
+        np.subtract(vv, hh, out=dd)
+        np.multiply(dd, pp, out=dd, casting="unsafe")
+        np.add(hh, dd, out=hh)
+        np.subtract(vv, dd, out=vv)
+
+
+# -- §4.1 ablation idioms: allocating selects, kept for the blend figure --
+
+
 def _blend_where(h, v, p):
     return np.where(p, v, h), np.where(p, h, v)
 
@@ -170,12 +223,6 @@ def _blend_masked(h, v, p):
     new_h[p] = v[p]
     new_v[p] = h[p]
     return new_h, new_v
-
-
-def _blend_arith(h, v, p):
-    q = p.astype(h.dtype)
-    one = h.dtype.type(1)
-    return h * (one - q) + q * v, v * (one - q) + q * h
 
 
 def _blend_bitwise(h, v, p):
@@ -202,25 +249,25 @@ def _minmax_select(h, v, match):
     return np.where(match, v, lo), np.where(match, h, hi)
 
 
-_BLENDS = {
-    "where": _blend_where,
-    "masked": _blend_masked,
-    "arith": _blend_arith,
-    "bitwise": _blend_bitwise,
-    # callers that precompute the full condition p = match | (h > v) get
-    # the equivalent select; the true match-mask-only min/max computation
-    # lives on the sequential SIMD path in _comb_region_simd
-    "minmax": _blend_where,
-}
+_SELECTS = {"where": _blend_where, "masked": _blend_masked, "bitwise": _blend_bitwise}
+
+#: every inner-loop idiom: ``arith`` is :func:`comb_cells`, the rest are
+#: the §4.1 ablation's select idioms
+BLENDS = ("where", "masked", "arith", "bitwise", "minmax")
 
 
-def _strand_dtype(m: int, n: int, dtype) -> np.dtype:
-    if dtype is not None:
-        dt = np.dtype(dtype)
-        if m + n - 1 > np.iinfo(dt).max:
-            raise ValueError(f"dtype {dt} cannot hold {m + n} strand indices")
-        return dt
-    return np.dtype(np.int64)
+def _strands_dtype(m: int, n: int, use_16bit: bool) -> np.dtype:
+    """Strand-label dtype of an ``m x n`` grid: ``uint16`` when every id
+    fits (the paper's SIMD-width optimization; here it halves memory
+    traffic and the bytes a process machine ships), else ``int64``."""
+    return np.dtype(np.uint16 if use_16bit and m + n <= _UNSIGNED_LIMIT_16 else np.int64)
+
+
+def _checked_dtype(m: int, n: int, dtype) -> np.dtype:
+    dt = np.dtype(dtype)
+    if m + n - 1 > np.iinfo(dt).max:
+        raise ValueError(f"dtype {dt} cannot hold {m + n} strand indices")
+    return dt
 
 
 def _comb_region_simd(
@@ -230,27 +277,40 @@ def _comb_region_simd(
     v_strands: np.ndarray,
     ranges,
     blend: BlendKind,
+    h_valid=None,
+    b_valid=None,
 ) -> None:
-    """Comb the cells described by *ranges* in place (vectorized inner loop)."""
-    if blend == "minmax":
-        for length, h_lo, v_lo in ranges:
-            h_sl = slice(h_lo, h_lo + length)
-            v_sl = slice(v_lo, v_lo + length)
-            h = h_strands[h_sl]
-            v = v_strands[v_sl]
-            match = a_rev[h_sl] == cb[v_sl]
-            new_h, new_v = _minmax_select(h, v, match)
-            h_strands[h_sl] = new_h
-            v_strands[v_sl] = new_v
+    """Comb the cells described by *ranges* in place with the *blend*
+    idiom: :func:`comb_cells` for ``arith``, else an ablation select
+    (same array and validity-mask conventions)."""
+    if blend == "arith":
+        comb_cells(a_rev, cb, h_strands, v_strands, ranges, h_valid, b_valid)
         return
-    select = _BLENDS[blend]
+    select = _SELECTS.get(blend)
+    if select is None and blend != "minmax":
+        raise ValueError(f"unknown blend {blend!r}; available: {BLENDS}")
     for length, h_lo, v_lo in ranges:
         h_sl = slice(h_lo, h_lo + length)
         v_sl = slice(v_lo, v_lo + length)
         h = h_strands[h_sl]
         v = v_strands[v_sl]
-        p = (a_rev[h_sl] == cb[v_sl]) | (h > v)
-        new_h, new_v = select(h, v, p)
+        valid = None if h_valid is None else h_valid[h_sl] & b_valid[v_sl]
+        match = a_rev[h_sl] == cb[v_sl]
+        if select is None:
+            # min/max sorts even unmatched cells: padding cells must stay
+            # untouched, so they are restored afterwards
+            if valid is not None:
+                match &= valid
+            new_h, new_v = _minmax_select(h, v, match)
+            if valid is not None:
+                invalid = ~valid
+                np.copyto(new_h, h, where=invalid)
+                np.copyto(new_v, v, where=invalid)
+        else:
+            p = match | (h > v)
+            if valid is not None:
+                p &= valid
+            new_h, new_v = select(h, v, p)
         h_strands[h_sl] = new_h
         v_strands[v_sl] = new_v
 
@@ -259,19 +319,22 @@ def iterative_combing_antidiag_simd(
     a: Sequenceish,
     b: Sequenceish,
     *,
-    blend: BlendKind = "where",
+    blend: BlendKind = "arith",
     dtype=None,
-    use_16bit_when_possible: bool = False,
+    use_16bit_when_possible: bool = True,
 ) -> PermArray:
     """Branchless vectorized anti-diagonal combing (``semi_antidiag_SIMD``).
 
     Each anti-diagonal is one batch of element-wise NumPy operations — the
-    Python analogue of the paper's AVX inner loop. ``blend`` picks the
-    branch-elimination idiom from §4.1 (``where``/``arith``/``bitwise``
-    write everything, ``masked`` emulates the branching version's fewer
-    memory writes). With ``use_16bit_when_possible`` strand indices are
-    stored as ``uint16`` whenever ``m + n <= 2^16`` (the paper's SIMD-width
-    optimization; here it halves memory traffic).
+    Python analogue of the paper's AVX inner loop. The default ``arith``
+    runs the allocation-free comb kernel :func:`comb_cells`; the other
+    ``blend`` values are the §4.1 branch-elimination ablation
+    (``where``/``bitwise`` write everything, ``masked`` emulates the
+    branching version's fewer memory writes, ``minmax`` the AVX-512
+    masked min/max). Strand indices are stored as ``uint16`` whenever
+    ``m + n <= 65535`` (the paper's SIMD-width optimization; here it
+    halves memory traffic) unless ``use_16bit_when_possible=False`` or an
+    explicit ``dtype`` is given.
     """
     ca, cb = _encode_pair(a, b)
     if ca.size > cb.size:
@@ -282,13 +345,14 @@ def iterative_combing_antidiag_simd(
     m, n = ca.size, cb.size
     if m == 0 or n == 0:
         return np.arange(m + n, dtype=np.int64)
-    if use_16bit_when_possible and dtype is None and m + n <= _UNSIGNED_LIMIT_16:
-        dtype = np.uint16
+    if dtype is None:
+        dt = _strands_dtype(m, n, use_16bit_when_possible)
+    else:
+        dt = _checked_dtype(m, n, dtype)
     metrics = get_metrics()
     metrics.inc("combing.leaf_calls", 1)
     metrics.inc("combing.leaf_cells", m * n)
     with phase("combing"), get_tracer().span("combing.leaf", args={"m": m, "n": n}):
-        dt = _strand_dtype(m, n, dtype)
         h_strands = np.arange(m, dtype=dt)
         v_strands = np.arange(m, m + n, dtype=dt)
         a_rev = np.ascontiguousarray(ca[::-1])
@@ -366,7 +430,7 @@ def iterative_combing_load_balanced(
     a: Sequenceish,
     b: Sequenceish,
     *,
-    blend: BlendKind = "where",
+    blend: BlendKind = "arith",
     multiply=None,
 ) -> PermArray:
     """Three-phase load-balanced combing (``semi_load_balanced``).

@@ -43,23 +43,16 @@ from .hybrid import (
     plan_grid_reduction,
 )
 from .iterative import (
-    _BLENDS,
     _UNSIGNED_LIMIT_16,
     _antidiag_ranges,
     _comb_region_simd,
     _extract_kernel,
     _flip_kernel,
+    _strands_dtype,
     cut_positions,
     fused_antidiag_groups,
     iterative_combing_antidiag_simd,
 )
-
-
-def _strands_dtype(m: int, n: int, use_16bit: bool):
-    """Strand-label dtype: ``uint16`` when every label fits (the paper's
-    SIMD-width optimization — here it also halves the bytes a real
-    process machine ships per round)."""
-    return np.uint16 if (use_16bit and m + n <= _UNSIGNED_LIMIT_16) else np.int64
 
 
 # -- picklable grid tasks (shipped to worker processes by spec) -------------
@@ -189,16 +182,17 @@ def _chunks(length: int, workers: int) -> list[tuple[int, int]]:
     return out
 
 
-def _make_chunk_thunk(a_rev, cb, h_strands, v_strands, h_lo, v_lo, lo, hi, select):
+def _make_diag_thunk(a_rev, cb, h_strands, v_strands, length, h_lo, v_lo, blend):
+    """One anti-diagonal as a round thunk. Its cells are one contiguous
+    range of views, so the kernel's scratch is sized to the diagonal."""
+    h_sl = slice(h_lo, h_lo + length)
+    v_sl = slice(v_lo, v_lo + length)
+
     def thunk():
-        h_sl = slice(h_lo + lo, h_lo + hi)
-        v_sl = slice(v_lo + lo, v_lo + hi)
-        h = h_strands[h_sl]
-        v = v_strands[v_sl]
-        p = (a_rev[h_sl] == cb[v_sl]) | (h > v)
-        new_h, new_v = select(h, v, p)
-        h_strands[h_sl] = new_h
-        v_strands[v_sl] = new_v
+        _comb_region_simd(
+            a_rev[h_sl], cb[v_sl], h_strands[h_sl], v_strands[v_sl],
+            ((length, 0, 0),), blend,
+        )
 
     return thunk
 
@@ -208,7 +202,7 @@ def parallel_iterative_combing(
     b: Sequenceish,
     machine,
     *,
-    blend: str = "where",
+    blend: str = "arith",
     use_16bit: bool = False,
     fuse_rounds: bool = False,
     fuse_budget: int | None = None,
@@ -260,7 +254,6 @@ def parallel_iterative_combing(
     with _obs_phase("combing"), get_tracer().span(
         "combing.wavefront", args={"m": m, "n": n}
     ):
-        select = _BLENDS[blend]
         a_rev = np.ascontiguousarray(ca[::-1])
         dt = _strands_dtype(m, n, use_16bit)
         h_strands = np.arange(m, dtype=dt)
@@ -268,8 +261,8 @@ def parallel_iterative_combing(
         for group in groups:
             if len(group) == 1:
                 length, h_lo, v_lo = group[0]
-                thunk = _make_chunk_thunk(
-                    a_rev, cb, h_strands, v_strands, h_lo, v_lo, 0, length, select
+                thunk = _make_diag_thunk(
+                    a_rev, cb, h_strands, v_strands, length, h_lo, v_lo, blend
                 )
                 machine.run_uniform_round([(thunk, length)])
             else:
@@ -287,7 +280,7 @@ def parallel_load_balanced_combing(
     b: Sequenceish,
     machine,
     *,
-    blend: str = "where",
+    blend: str = "arith",
     multiply=None,
     use_16bit: bool = False,
 ) -> PermArray:
@@ -325,7 +318,6 @@ def parallel_load_balanced_combing(
 
 
 def _parallel_load_balanced_impl(ca, cb, machine, m, n, blend, multiply, use_16bit):
-    select = _BLENDS[blend]
     a_rev = np.ascontiguousarray(ca[::-1])
     dt = _strands_dtype(m, n, use_16bit)
 
@@ -348,8 +340,8 @@ def _parallel_load_balanced_impl(ca, cb, machine, m, n, blend, multiply, use_16b
         if not (d_lo <= d < d_hi):
             return None
         length, h_lo, v_lo = diag_slices(d)
-        thunk = _make_chunk_thunk(
-            a_rev, cb, h_strands, v_strands, h_lo, v_lo, 0, length, select
+        thunk = _make_diag_thunk(
+            a_rev, cb, h_strands, v_strands, length, h_lo, v_lo, blend
         )
         return thunk, length
 
@@ -395,7 +387,7 @@ def parallel_hybrid_combing_grid(
     machine,
     *,
     n_tasks: int | None = None,
-    blend: str = "where",
+    blend: str = "arith",
     use_16bit: bool = True,
     multiply=None,
     strand_limit: int | None = None,
@@ -475,7 +467,7 @@ def _parallel_hybrid_grid_impl(
     machine,
     *,
     n_tasks: int | None = None,
-    blend: str = "where",
+    blend: str = "arith",
     use_16bit: bool = True,
     multiply=None,
     strand_limit: int | None = None,

@@ -37,10 +37,18 @@ corner configuration     R(r, c)
 all four lo              R_lo(r, c)
 all four hi              R_hi(r, c)
 r = t(c) = t(c+1)        [col c: lo with row >= r, or hi with row <= r]
-r = t(c) > t(c+1)        R_hi(r, c) + delta(r, c)
-t(c+1) = r < t(c)        R_lo(r, c) - delta(r+1, c+1)
+r = t(c) > t(c+1)        [col c: hi at row r]
+t(c+1) = r < t(c)        [col c: lo at row r] or [row r steps up at c+1]
 t(c+1) < r < t(c)        [row r: hi with col <= c]
 ======================  ==========================================
+
+The two middle rows are ``R_hi(r, c) + delta(r, c)`` and
+``R_lo(r, c) - delta(r+1, c+1)`` with the staircase invariant
+``delta(t(k), k) = 0`` substituted: the walk starts at
+``delta(n, 0) = 0``, a right-step lowers delta by at most 1, and the
+climb raises it by at most 1 per step, only until it is ``>= 0`` again
+— so it stops at exactly 0. ``delta(r+1, c+1)`` one row below the staircase is
+then ``-1`` when row ``r``'s step up was counted and 0 otherwise.
 
 Each is verified against the dense (min,+) reference in
 ``tests/core/test_steady_ant.py`` over thousands of random permutations.
@@ -120,9 +128,8 @@ def combine(
     cr = col_row.tolist()
     cl = col_is_lo.tolist()
 
-    # --- the ant walk: staircase t[k] and delta at each (t[k], k) -------
+    # --- the ant walk: staircase t[k] -----------------------------------
     t = [0] * (n + 1)
-    delta_at_t = [0] * (n + 1)
     t[0] = n
     i = n
     delta = 0
@@ -140,7 +147,6 @@ def combine(
                     delta += 1
                 i = r
         t[k + 1] = i
-        delta_at_t[k + 1] = delta
 
     t_arr = np.asarray(t, dtype=np.int64)
     out = np.full(n, -1, dtype=np.int64)
@@ -168,15 +174,17 @@ def combine(
                         mixed_rows.append(r)
                         mixed_cols.append(c)
                 else:
-                    # only the top-left corner is lo
-                    if delta_at_t[c] or ((not cl[c]) and cr[c] == r):
+                    # only the top-left corner is lo: R_hi(r, c) + delta(r, c)
+                    # with delta(r, c) = 0 on the staircase
+                    if (not cl[c]) and cr[c] == r:
                         mixed_rows.append(r)
                         mixed_cols.append(c)
             elif r == tc1:
-                # all corners lo except bottom-right:
-                # delta(r+1, c+1) = delta(t[c+1], c+1) - up-step at row r
-                up = 1 if ((rc[r] >= c + 1) if rl[r] else (rc[r] < c + 1)) else 0
-                if (1 if (cl[c] and cr[c] == r) else 0) - (delta_at_t[c + 1] - up):
+                # all corners lo except bottom-right: R_lo(r, c) minus
+                # delta(r+1, c+1) = 0 - (up-step at row r), both terms >= 0
+                if (cl[c] and cr[c] == r) or (
+                    (rc[r] >= c + 1) if rl[r] else (rc[r] < c + 1)
+                ):
                     mixed_rows.append(r)
                     mixed_cols.append(c)
             else:
@@ -194,7 +202,6 @@ def combine(
 def _combine_small(rows_lo, lo_cols_full, rows_hi, hi_cols_full, n, rc, rl, cr, cl):
     """Pure-Python combine for small orders (same logic as :func:`combine`)."""
     t = [0] * (n + 1)
-    delta_at_t = [0] * (n + 1)
     t[0] = n
     i = n
     delta = 0
@@ -210,7 +217,6 @@ def _combine_small(rows_lo, lo_cols_full, rows_hi, hi_cols_full, n, rc, rl, cr, 
                     delta += 1
                 i = r
         t[k + 1] = i
-        delta_at_t[k + 1] = delta
 
     out = [-1] * n
     for r, c in zip(rows_lo.tolist(), lo_cols_full.tolist()):
@@ -232,11 +238,12 @@ def _combine_small(rows_lo, lo_cols_full, rows_hi, hi_cols_full, n, rc, rl, cr, 
                     if (cr[c] >= r) if cl[c] else (cr[c] <= r):
                         out[r] = c
                 else:
-                    if delta_at_t[c] or ((not cl[c]) and cr[c] == r):
+                    if (not cl[c]) and cr[c] == r:
                         out[r] = c
             elif r == tc1:
-                up = 1 if ((rc[r] >= c + 1) if rl[r] else (rc[r] < c + 1)) else 0
-                if (1 if (cl[c] and cr[c] == r) else 0) - (delta_at_t[c + 1] - up):
+                if (cl[c] and cr[c] == r) or (
+                    (rc[r] >= c + 1) if rl[r] else (rc[r] < c + 1)
+                ):
                     out[r] = c
             else:
                 if (not rl[r]) and rc[r] <= c:

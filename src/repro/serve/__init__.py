@@ -6,7 +6,7 @@ warm and survives misbehaving clients and faulty workers. This package
 provides that tier in three layers:
 
 - :mod:`repro.serve.engine` — :class:`Engine`, the warm build-run-
-  teardown lifecycle (machine pool, steady-ant precalc table,
+  teardown lifecycle (machine pool, steady-ant plan cache,
   shared-memory slab pools) behind idempotent ``start()`` / ``drain()``
   / ``close()``;
 - :mod:`repro.serve.server` — :class:`LcsServer`, the asyncio

@@ -1,16 +1,15 @@
 """A long-lived execution engine with an explicit lifetime.
 
 Every one-shot CLI run pays the full build-run-teardown cycle: spawn a
-worker pool, build the steady-ant :class:`PrecalcTable`, allocate
-shared-memory slabs, comb, then tear it all down. A serving process
+worker pool, allocate shared-memory slabs, comb, then tear it all
+down. A serving process
 answers *many* requests, so :class:`Engine` hoists that cycle into an
 object with an explicit lifetime:
 
 - :meth:`Engine.start` builds the machine **once** (optionally
   fault-wrapped in a :class:`~repro.parallel.resilient.ResilientMachine`
-  and chaos-injected for testing), warms the process-wide
-  :class:`~repro.core.steady_ant.precalc.PrecalcTable`, and constructs a
-  persistent :class:`~repro.batch.BatchScheduler` whose shared-memory
+  and chaos-injected for testing), warms the vectorized steady-ant
+  plan cache, and constructs a persistent :class:`~repro.batch.BatchScheduler` whose shared-memory
   slab pools are reused across requests;
 - :meth:`Engine.run_batch` answers a batch of pairs on the warm
   machinery (thread-safe: concurrent callers serialize on an internal
@@ -68,9 +67,6 @@ class Engine:
         Optional :class:`~repro.parallel.chaos.ChaosMachine` kwargs for
         fault-injection testing (``fail_rate``, ``crash_rate``,
         ``shm_loss_after``, ``seed``, ...).
-    warm_precalc:
-        Build the steady-ant precalc table at :meth:`start` instead of
-        lazily inside the first request.
     warm_compute:
         Prefill the vectorized steady-ant plan cache
         (:func:`~repro.core.steady_ant.warm_compute_kernels`) at
@@ -103,7 +99,6 @@ class Engine:
         pipeline_depth: int = 2,
         policy: FaultPolicy | bool | None = None,
         chaos: dict | None = None,
-        warm_precalc: bool = True,
         warm_compute: bool = True,
         query_store_dir: str | None = None,
         query_max_bytes: int | None = None,
@@ -120,7 +115,6 @@ class Engine:
         self.pipeline_depth = int(pipeline_depth)
         self.policy = policy
         self.chaos = dict(chaos) if chaos else None
-        self.warm_precalc = bool(warm_precalc)
         self.warm_compute = bool(warm_compute)
         self.query_store_dir = query_store_dir
         self.query_max_bytes = query_max_bytes
@@ -170,10 +164,6 @@ class Engine:
                     chaos=self.chaos,
                     **backend_kwargs,
                 )
-            if self.warm_precalc:
-                from ..core.steady_ant.precalc import get_precalc_table
-
-                get_precalc_table()
             if self.warm_compute:
                 from ..core.steady_ant import warm_compute_kernels
 

@@ -145,7 +145,7 @@ class TestWarmCompute:
         # guard against vacuity: with warming disabled the same request
         # *does* build plans, so the warm assertion above is meaningful
         self._chill()
-        with self._engine(warm_compute=False, warm_precalc=False) as e:
+        with self._engine(warm_compute=False) as e:
             before = self._builds()
             e.scores(self.PAIR)
             assert self._builds() > before
