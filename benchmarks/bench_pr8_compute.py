@@ -1,16 +1,16 @@
-"""Compute-gap benchmark: the PR 8 toggle ladder on single-pair grids.
+"""Compute-gap benchmark: the multiply ladder on single-pair grids.
 
 Measures :func:`repro.core.combing.parallel.parallel_hybrid_combing_grid`
 wall time for one pair at each size, on a serial machine and on a
 4-worker shared-memory :class:`~repro.parallel.processes.ProcessMachine`,
 stepping through the optimization ladder::
 
-    baseline    multiply=steady_ant_combined fuse_rounds=F pipeline=F,
-                scalar precalc build
+    baseline    multiply=steady_ant_combined, scalar precalc build
     +vectorize  the library multiply (level-vectorized steady ant, and
-                the vectorized table build it warms)
-    +fuse       ... fuse_rounds=T
-    +pipeline   ... pipeline=T            (the shipped defaults)
+                the vectorized table build it warms) — the shipped default
+
+The grid has one schedule (the pipelined dataflow of the Listing 7
+plan), so the ladder varies only the multiply.
 
 Every measurement runs in a *fresh subprocess* so each config pays its
 honest cold start — the baseline reproduces PR 7 semantics exactly
@@ -27,7 +27,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_pr8_compute.py \
         --sizes 2048 8192 --workers 4 --out BENCH_compute.json --check
 
-``--check`` exits non-zero unless the full ladder is >= 3x the baseline
+``--check`` exits non-zero unless the default is >= 3x the baseline
 at the largest size on the process machine; ``--check-micro`` gates only
 the microbenchmark (cheap enough for CI smoke).
 """
@@ -44,14 +44,11 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from common import add_quick_flag, apply_quick, commit_hash  # noqa: E402
 
-# (config, grid toggles, scalar multiply?, precalc build); the baseline
-# passes the scalar combined recursion explicitly, every later rung the
-# library default multiply
+# (config, scalar multiply?, precalc build); the baseline passes the
+# scalar combined recursion explicitly, +vectorize the library default
 LADDER = [
-    ("baseline", dict(fuse_rounds=False, pipeline=False), True, "scalar"),
-    ("+vectorize", dict(fuse_rounds=False, pipeline=False), False, "vectorized"),
-    ("+fuse", dict(fuse_rounds=True, pipeline=False), False, "vectorized"),
-    ("+pipeline", dict(fuse_rounds=True, pipeline=True), False, "vectorized"),
+    ("baseline", True, "scalar"),
+    ("+vectorize", False, "vectorized"),
 ]
 
 
@@ -72,9 +69,7 @@ def _measure_one(spec: dict) -> dict:
     rng = np.random.default_rng(2021)
     a, b = rng.integers(0, 4, n), rng.integers(0, 4, n)
     oracle = iterative_combing_antidiag_simd(a, b)
-    toggles = dict(spec["toggles"])
-    if spec["scalar_multiply"]:
-        toggles["multiply"] = steady_ant_combined
+    toggles = {"multiply": steady_ant_combined} if spec["scalar_multiply"] else {}
     if spec["machine"] == "serial":
         machine = SerialMachine()
         start = time.perf_counter()
@@ -146,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--out", default="BENCH_compute.json")
     parser.add_argument("--check", action="store_true",
-                        help="fail unless the full ladder is >= 3x baseline "
+                        help="fail unless the default is >= 3x baseline "
                              "at the largest size on the process machine")
     parser.add_argument("--check-micro", action="store_true",
                         help="fail unless the vectorized multiply microbench "
@@ -170,10 +165,9 @@ def main(argv: list[str] | None = None) -> int:
     if not args.micro_only:
         for n in args.sizes:
             for machine in ("serial", "processes"):
-                for config, toggles, scalar, precalc in LADDER:
+                for config, scalar, precalc in LADDER:
                     spec = {"n": n, "machine": machine, "config": config,
-                            "workers": args.workers, "toggles": toggles,
-                            "scalar_multiply": scalar}
+                            "workers": args.workers, "scalar_multiply": scalar}
                     rec = run_subprocess(spec, precalc)
                     runs.append(rec)
                     print(f"n={n:6d} {machine:9s} {config:11s} "
@@ -184,9 +178,9 @@ def main(argv: list[str] | None = None) -> int:
         for machine in ("serial", "processes"):
             sel = {r["config"]: r for r in runs
                    if r["n"] == n and r["machine"] == machine}
-            if "baseline" in sel and "+pipeline" in sel:
+            if "baseline" in sel and "+vectorize" in sel:
                 speedups.setdefault(str(n), {})[machine] = round(
-                    sel["baseline"]["wall_s"] / sel["+pipeline"]["wall_s"], 2)
+                    sel["baseline"]["wall_s"] / sel["+vectorize"]["wall_s"], 2)
 
     doc = {
         "schema": "repro-bench-compute/1",
@@ -213,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         top = str(max(args.sizes))
         got = speedups.get(top, {}).get("processes", 0.0)
         if got < 3.0:
-            print(f"CHECK FAILED: n={top} processes ladder {got}x < 3x")
+            print(f"CHECK FAILED: n={top} processes default {got}x < 3x")
             failed = True
     return 1 if failed else 0
 

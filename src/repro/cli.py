@@ -236,22 +236,15 @@ def _cmd_parallel(args) -> int:
         # SIGINT/SIGTERM must not leave named /dev/shm segments behind
         with cleanup_on_signals(release_all_arenas):
             ca, cb = encode(args.a), encode(args.b)
-            grid_kwargs = {
-                "fuse_rounds": not args.no_fuse_rounds,
-                "fuse_budget": args.fuse_budget,
-                "pipeline": not args.no_pipeline,
-            }
             if args.algorithm == "hybrid":
                 if ckpt is not None:
                     from .checkpoint import flush_on_signals
 
                     with flush_on_signals(ckpt):
-                        perm = parallel_hybrid_combing_grid(
-                            ca, cb, machine, checkpoint=ckpt, **grid_kwargs
-                        )
+                        perm = parallel_hybrid_combing_grid(ca, cb, machine, checkpoint=ckpt)
                     _print_checkpoint_stats(store)
                 else:
-                    perm = parallel_hybrid_combing_grid(ca, cb, machine, **grid_kwargs)
+                    perm = parallel_hybrid_combing_grid(ca, cb, machine)
             elif args.algorithm == "combing":
                 perm = parallel_iterative_combing(ca, cb, machine)
             elif args.algorithm == "load-balanced":
@@ -860,24 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate a process death after N completed tasks (testing)",
     )
     p.add_argument("--seed", type=int, default=0, help="seed for chaos + backoff jitter")
-    g = p.add_argument_group("compute toggles (hybrid grid)")
-    g.add_argument(
-        "--no-fuse-rounds",
-        action="store_true",
-        help="submit one round per reduction level (the PR 7 schedule)",
-    )
-    g.add_argument(
-        "--fuse-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="fused-task external payload budget (default: 1 MiB)",
-    )
-    g.add_argument(
-        "--no-pipeline",
-        action="store_true",
-        help="drain every submitted round before packing the next",
-    )
     p.add_argument(
         "--checkpoint-dir",
         metavar="DIR",

@@ -13,7 +13,10 @@ Two variants:
   sub-blocks, each combed independently by iterative combing (with 16-bit
   strand indices whenever a block's ``m + n <= 2^16``), followed by a
   balanced reduction tree of compositions that always merges along the
-  sub-grid's longest side.
+  sub-grid's longest side. :func:`plan_grid_reduction` is that tree as
+  data — the one schedule this serial grid and
+  :func:`~repro.core.combing.parallel.parallel_hybrid_combing_grid`
+  both execute.
 
 Both return the same kernel as plain iterative combing (property-tested).
 """
@@ -21,6 +24,9 @@ Both return the same kernel as plain iterative combing (property-tested).
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,185 +124,128 @@ def _split_lengths(total: int, parts: int) -> list[int]:
     return [base + (1 if k < extra else 0) for k in range(parts)]
 
 
-# ---------------------------------------------------------------------------
-# Explicit reduction plans (fused rounds + pipelined execution build on these)
-# ---------------------------------------------------------------------------
-
-#: One reduction node: ``kind`` is ``"h"`` (compose_horizontal) or ``"v"``
-#: (compose_vertical), ``out``/``left``/``right`` are plan node ids
-#: (leaves are ``i * n_outer + j`` row-major), and ``d0/d1/d2`` are the
-#: compose dimensions (``rows, n_left, n_right`` for "h";
-#: ``m_top, m_bottom, cols`` for "v").
-class GridOp:
-    __slots__ = ("kind", "out", "left", "right", "d0", "d1", "d2")
-
-    def __init__(self, kind, out, left, right, d0, d1, d2):
-        self.kind = kind
-        self.out = out
-        self.left = left
-        self.right = right
-        self.d0 = d0
-        self.d1 = d1
-        self.d2 = d2
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return (f"GridOp({self.kind!r}, out={self.out}, "
-                f"left={self.left}, right={self.right})")
+#: The compose-order heuristics of §4.3 (see :func:`hybrid_combing_grid`).
+REDUCTIONS = ("longest-side", "rows-first", "cols-first")
 
 
-def plan_grid_reduction(m: int, n: int, a_lens, b_lens):
-    """Flatten Listing 7's longest-side reduction into explicit levels.
+class GridOp(NamedTuple):
+    """One reduction node: ``kind`` is ``"h"`` (compose_horizontal) or
+    ``"v"`` (compose_vertical), ``out``/``left``/``right`` are plan node
+    ids (leaves are ``i * n_outer + j`` row-major), and ``d0/d1/d2`` are
+    the compose dimensions (``rows, n_left, n_right`` for "h";
+    ``m_top, m_bottom, cols`` for "v"). ``d0 + d1 + d2`` is the order of
+    the composed kernel."""
 
-    Returns ``(levels, spans, root)``: ``levels`` is a list of lists of
-    :class:`GridOp` (one list per reduction level, ops in the exact order
-    the level-synchronous implementation submits them), ``spans`` maps
-    every plan node id to its covered slice bounds
-    ``(a_lo, a_hi, b_lo, b_hi)`` (content-addressed checkpoint keys and
-    fusion payload estimates both derive from these), and ``root`` is the
-    final node's id. Leaf ids are ``i * n_outer + j`` row-major; the
-    caller runs the leaves itself.
+    kind: str
+    out: int
+    left: int
+    right: int
+    d0: int
+    d1: int
+    d2: int
 
-    The plan is *semantics-free scheduling data*: executing its ops in
-    any dependency-respecting order produces the identical kernel,
-    because kernel composition is associative along the chosen reduction
-    tree — which is what lets the executor fuse levels and pipeline
-    rounds without touching correctness.
+
+def compose_op(op: GridOp, left, right, multiply) -> PermArray:
+    """Execute reduction node *op* on its two input kernels."""
+    fn = compose_horizontal if op.kind == "h" else compose_vertical
+    return fn(
+        np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
+        op.d0, op.d1, op.d2, multiply,
+    )
+
+
+def _bounds(lens):
+    """Consecutive ``(lo, hi)`` slice bounds of parts with lengths *lens*."""
+    offs = [0, *accumulate(lens)]
+    return list(zip(offs, offs[1:]))
+
+
+def _pair_up(bounds):
+    """Merge adjacent ``(lo, hi)`` bounds pairwise; an odd last one
+    carries over unmerged."""
+    merged = [(bounds[k][0], bounds[k + 1][1]) for k in range(0, len(bounds) - 1, 2)]
+    return merged + bounds[-1:] if len(bounds) % 2 else merged
+
+
+def plan_grid_reduction(m: int, n: int, a_lens, b_lens, reduction: str = "longest-side"):
+    """Listing 7's balanced reduction tree as explicit levels of ops.
+
+    Each level halves one axis of the sub-grid: ``"longest-side"`` (the
+    paper's choice) merges along the axis whose blocks are currently
+    longer, ``"rows-first"`` / ``"cols-first"`` exhaust horizontal /
+    vertical merges first. Returns ``(levels, spans, root)``: ``levels``
+    is a list of lists of :class:`GridOp` (ops in row-major order of
+    their outputs; a level's index ``k`` in ``levels`` is reduction level
+    ``k + 1`` of the checkpoint journal), ``spans`` maps every node id to
+    its covered slice bounds ``(a_lo, a_hi, b_lo, b_hi)`` (checkpoint
+    keys derive from these), and ``root`` is the final node's id.
+
+    Ops of one level are mutually independent, and executing the ops in
+    any dependency-respecting order produces the same kernel — which is
+    what lets the parallel grid run them as a dataflow.
     """
-    a_lens = list(a_lens)
-    b_lens = list(b_lens)
-    m_outer, n_outer = len(a_lens), len(b_lens)
-    a_bounds = []
-    lo = 0
-    for ln in a_lens:
-        a_bounds.append((lo, lo + ln))
-        lo += ln
-    b_bounds = []
-    lo = 0
-    for ln in b_lens:
-        b_bounds.append((lo, lo + ln))
-        lo += ln
-    ids = [[i * n_outer + j for j in range(n_outer)] for i in range(m_outer)]
-    spans = {}
-    for i in range(m_outer):
-        for j in range(n_outer):
-            spans[ids[i][j]] = (*a_bounds[i], *b_bounds[j])
-    next_id = m_outer * n_outer
+    if reduction not in REDUCTIONS:
+        raise ValueError(f"unknown reduction heuristic {reduction!r}")
+    a_bounds = _bounds(a_lens)
+    b_bounds = _bounds(b_lens)
+    n_outer = len(b_bounds)
+    ids = [[i * n_outer + j for j in range(n_outer)] for i in range(len(a_bounds))]
+    spans = {
+        ids[i][j]: (*a_bounds[i], *b_bounds[j])
+        for i in range(len(a_bounds))
+        for j in range(n_outer)
+    }
     levels = []
-    while m_outer > 1 or n_outer > 1:
+    while len(a_bounds) > 1 or len(b_bounds) > 1:
+        m_outer, n_outer = len(a_bounds), len(b_bounds)
         if n_outer == 1:
             row_reduction = False
         elif m_outer == 1:
             row_reduction = True
+        elif reduction != "longest-side":
+            row_reduction = reduction == "rows-first"
         else:
+            # blocks taller than wide -> merge horizontally (row reduction)
             row_reduction = (m / m_outer) >= (n / n_outer)
         ops = []
         if row_reduction:
-            new_ids = []
-            for i in range(m_outer):
+            for i, (a_lo, a_hi) in enumerate(a_bounds):
                 row = []
                 for j in range(0, n_outer - 1, 2):
-                    out = next_id
-                    next_id += 1
+                    (b_lo, mid), (_, b_hi) = b_bounds[j], b_bounds[j + 1]
+                    out = len(spans)
                     ops.append(GridOp("h", out, ids[i][j], ids[i][j + 1],
-                                      a_lens[i], b_lens[j], b_lens[j + 1]))
-                    spans[out] = (*a_bounds[i], b_bounds[j][0], b_bounds[j + 1][1])
+                                      a_hi - a_lo, mid - b_lo, b_hi - mid))
+                    spans[out] = (a_lo, a_hi, b_lo, b_hi)
                     row.append(out)
-                if n_outer % 2:
-                    row.append(ids[i][n_outer - 1])
-                new_ids.append(row)
-            ids = new_ids
-            b_lens = [b_lens[j] + b_lens[j + 1] for j in range(0, n_outer - 1, 2)] + (
-                [b_lens[-1]] if n_outer % 2 else [])
-            b_bounds = [(b_bounds[j][0], b_bounds[j + 1][1]) for j in range(0, n_outer - 1, 2)] + (
-                [b_bounds[-1]] if n_outer % 2 else [])
-            n_outer = len(b_lens)
+                ids[i] = row + ids[i][-1:] if n_outer % 2 else row
+            b_bounds = _pair_up(b_bounds)
         else:
             new_ids = []
             for i in range(0, m_outer - 1, 2):
+                (a_lo, mid), (_, a_hi) = a_bounds[i], a_bounds[i + 1]
                 row = []
-                for j in range(n_outer):
-                    out = next_id
-                    next_id += 1
+                for j, (b_lo, b_hi) in enumerate(b_bounds):
+                    out = len(spans)
                     ops.append(GridOp("v", out, ids[i][j], ids[i + 1][j],
-                                      a_lens[i], a_lens[i + 1], b_lens[j]))
-                    spans[out] = (a_bounds[i][0], a_bounds[i + 1][1], *b_bounds[j])
+                                      mid - a_lo, a_hi - mid, b_hi - b_lo))
+                    spans[out] = (a_lo, a_hi, b_lo, b_hi)
                     row.append(out)
                 new_ids.append(row)
-            if m_outer % 2:
-                new_ids.append(ids[m_outer - 1])
-            ids = new_ids
-            a_lens = [a_lens[i] + a_lens[i + 1] for i in range(0, m_outer - 1, 2)] + (
-                [a_lens[-1]] if m_outer % 2 else [])
-            a_bounds = [(a_bounds[i][0], a_bounds[i + 1][1]) for i in range(0, m_outer - 1, 2)] + (
-                [a_bounds[-1]] if m_outer % 2 else [])
-            m_outer = len(a_lens)
+            ids = new_ids + ids[-1:] if m_outer % 2 else new_ids
+            a_bounds = _pair_up(a_bounds)
         levels.append(ops)
     return levels, spans, ids[0][0]
 
 
-#: Default fused-round payload budget (bytes of external input kernels
-#: per fused task). Small deep levels — where per-round machine overhead
-#: dominates — fuse aggressively; large top-of-tree kernels stay one op
-#: per task so the workers keep them parallel.
-DEFAULT_FUSE_BUDGET = 1 << 20
-
-#: Never chain more than this many reduction levels into one task — a
-#: fused task runs its ops sequentially inside one worker, so unbounded
-#: depth would serialize the whole top of the tree.
-MAX_FUSE_LEVELS = 4
-
-
-def _node_payload(node, spans, itemsize):
-    a_lo, a_hi, b_lo, b_hi = spans[node]
-    return ((a_hi - a_lo) + (b_hi - b_lo)) * itemsize
-
-
-def fuse_plan(levels, spans, *, budget=DEFAULT_FUSE_BUDGET,
-              itemsize=8, max_levels=MAX_FUSE_LEVELS):
-    """Group reduction levels into submission rounds.
-
-    Adjacent levels merge into one round when every fused task the merge
-    would create keeps its *external input payload* (the kernels the task
-    must be handed, at *itemsize* bytes per strand) within *budget* and
-    the chain spans at most *max_levels* levels. Returns a list of
-    rounds; each round is a list of tasks and each task a list of
-    :class:`GridOp` in dependency order (length 1 = unfused). Tasks
-    within a round are mutually independent — everything a task consumes
-    was produced in an earlier round (or is a grid leaf).
-
-    ``budget=0`` (or ``max_levels=1``) degenerates to exactly one round
-    per level — the unfused schedule.
-    """
-    rounds = []
-    pending: dict[int, list] = {}
-    pending_depth = 0
-
-    def task_externals(ops):
-        outs = {op.out for op in ops}
-        return [s for op in ops for s in (op.left, op.right) if s not in outs]
-
-    for ops in levels:
-        if pending:
-            fuse = pending_depth < max_levels
-            if fuse:
-                for op in ops:
-                    cand = pending.get(op.left, []) + pending.get(op.right, []) + [op]
-                    payload = sum(_node_payload(s, spans, itemsize)
-                                  for s in task_externals(cand))
-                    if payload > budget:
-                        fuse = False
-                        break
-            if not fuse:
-                rounds.append(list(pending.values()))
-                pending = {}
-                pending_depth = 0
-        for op in ops:
-            task = pending.pop(op.left, []) + pending.pop(op.right, []) + [op]
-            pending[op.out] = task
-        pending_depth += 1
-    if pending:
-        rounds.append(list(pending.values()))
-    return rounds
+def plan_grid(m: int, n: int, n_tasks: int, *, strand_limit=None, reduction="longest-side"):
+    """Split an ``m x n`` problem into about *n_tasks* sub-blocks and plan
+    their reduction. Returns ``(a_lens, b_lens, levels, spans, root)``
+    (see :func:`optimal_split` and :func:`plan_grid_reduction`)."""
+    m_outer, n_outer = optimal_split(m, n, n_tasks, strand_limit=strand_limit)
+    a_lens = _split_lengths(m, m_outer)
+    b_lens = _split_lengths(n, n_outer)
+    return (a_lens, b_lens, *plan_grid_reduction(m, n, a_lens, b_lens, reduction))
 
 
 def hybrid_combing_grid(
@@ -315,6 +264,11 @@ def hybrid_combing_grid(
 ) -> PermArray:
     """Listing 7: grid decomposition + balanced reduction tree.
 
+    Combs every sub-block of :func:`plan_grid`'s split, then executes the
+    plan's compose ops level by level (the serial run of the schedule
+    :func:`~repro.core.combing.parallel.parallel_hybrid_combing_grid`
+    runs as a dataflow).
+
     ``reduction`` selects the compose-order heuristic the paper's §4.3
     discusses: ``"longest-side"`` (the paper's choice — always merge
     along the sub-grid's longest axis, keeping block shapes balanced),
@@ -326,7 +280,8 @@ def hybrid_combing_grid(
     ``on_leaf(m, n)`` / ``on_compose(order)`` are accounting callbacks for
     the parallel cost model (each reduction round's compositions are
     mutually independent, as are all leaf combings); ``on_leaf`` fires as
-    each leaf finishes, in row-major order.
+    each leaf finishes, in row-major order, and ``on_compose`` as each
+    compose finishes, level by level.
 
     ``checkpoint`` is an optional
     :class:`~repro.checkpoint.grid.GridCheckpointer`: every leaf (and
@@ -342,149 +297,52 @@ def hybrid_combing_grid(
     with phase("combing"), get_tracer().span(
         "combing.grid", args={"n_tasks": n_tasks, "reduction": reduction}
     ):
-        return _hybrid_combing_grid_impl(
-            a, b, n_tasks,
-            multiply=multiply, blend=blend, use_16bit=use_16bit,
-            strand_limit=strand_limit, reduction=reduction,
-            on_leaf=on_leaf, on_compose=on_compose, checkpoint=checkpoint,
+        ca, cb = encode(a), encode(b)
+        m, n = ca.size, cb.size
+        a_lens, b_lens, levels, spans, root = plan_grid(
+            m, n, n_tasks, strand_limit=strand_limit, reduction=reduction
         )
+        if m == 0 or n == 0:
+            return np.arange(m + n, dtype=np.int64)
+        if multiply is None:
+            from ..steady_ant import steady_ant_multiply as multiply
+        if checkpoint is not None:
+            finished = checkpoint.begin(ca, cb, a_lens, b_lens)
+            if finished is not None:
+                return finished
 
-
-def _hybrid_combing_grid_impl(
-    a: Sequenceish,
-    b: Sequenceish,
-    n_tasks: int = 8,
-    *,
-    multiply=None,
-    blend: str = "arith",
-    use_16bit: bool = True,
-    strand_limit: int | None = None,
-    reduction: str = "longest-side",
-    on_leaf=None,
-    on_compose=None,
-    checkpoint=None,
-) -> PermArray:
-    if reduction not in ("longest-side", "rows-first", "cols-first"):
-        raise ValueError(f"unknown reduction heuristic {reduction!r}")
-    ca, cb = encode(a), encode(b)
-    m, n = ca.size, cb.size
-    if m == 0 or n == 0:
-        return np.arange(m + n, dtype=np.int64)
-    if multiply is None:
-        from ..steady_ant import steady_ant_multiply as multiply
-
-    m_outer, n_outer = optimal_split(m, n, n_tasks, strand_limit=strand_limit)
-    a_lens = _split_lengths(m, m_outer)
-    b_lens = _split_lengths(n, n_outer)
-    m_outer, n_outer = len(a_lens), len(b_lens)
-    a_offs = np.concatenate([[0], np.cumsum(a_lens)])
-    b_offs = np.concatenate([[0], np.cumsum(b_lens)])
-
-    if checkpoint is not None:
-        finished = checkpoint.begin(ca, cb, a_lens, b_lens)
-        if finished is not None:
-            return finished
-
-    # comb every sub-block independently (the parallel taskloop); each
-    # leaf checkpoints the moment it finishes
-    get_metrics().inc("combing.grid_leaves", m_outer * n_outer)
-    grid = []
-    for i in range(m_outer):
-        row = []
-        for j in range(n_outer):
-            ca_blk = ca[a_offs[i] : a_offs[i + 1]]
-            cb_blk = cb[b_offs[j] : b_offs[j + 1]]
+        # comb every sub-block independently (the parallel taskloop); each
+        # leaf checkpoints the moment it finishes
+        n_leaves = len(a_lens) * len(b_lens)
+        get_metrics().inc("combing.grid_leaves", n_leaves)
+        kernels = {}
+        for node in range(n_leaves):
+            a_lo, a_hi, b_lo, b_hi = spans[node]
+            ca_blk, cb_blk = ca[a_lo:a_hi], cb[b_lo:b_hi]
+            compute = partial(_leaf, ca_blk, cb_blk, blend, use_16bit)
             if checkpoint is not None:
-                leaf = checkpoint.leaf(
-                    i, j, ca_blk, cb_blk,
-                    lambda ca_blk=ca_blk, cb_blk=cb_blk: _leaf(ca_blk, cb_blk, blend, use_16bit),
-                )
+                i, j = divmod(node, len(b_lens))
+                kernels[node] = checkpoint.leaf(i, j, ca_blk, cb_blk, compute)
             else:
-                leaf = _leaf(ca_blk, cb_blk, blend, use_16bit)
-            row.append(leaf)
+                kernels[node] = compute()
             if on_leaf is not None:
-                on_leaf(a_lens[i], b_lens[j])
-        grid.append(row)
+                on_leaf(a_hi - a_lo, b_hi - b_lo)
 
-    # balanced reduction: merge along the blocks' longest side (default)
-    level = 0
-    while m_outer > 1 or n_outer > 1:
-        level += 1
-        a_offs = np.concatenate([[0], np.cumsum(a_lens)])
-        b_offs = np.concatenate([[0], np.cumsum(b_lens)])
-        if n_outer == 1:
-            row_reduction = False
-        elif m_outer == 1:
-            row_reduction = True
-        elif reduction == "rows-first":
-            row_reduction = True  # exhaust horizontal merges first
-        elif reduction == "cols-first":
-            row_reduction = False
-        else:
-            # blocks taller than wide -> merge horizontally (row reduction)
-            row_reduction = (m / m_outer) >= (n / n_outer)
-        node_index = 0
-        if row_reduction:
-            new_b_lens = []
-            for i in range(m_outer):
-                new_row = []
-                for j in range(0, n_outer - 1, 2):
-                    compute = lambda i=i, j=j: compose_horizontal(
-                        grid[i][j], grid[i][j + 1], a_lens[i], b_lens[j], b_lens[j + 1], multiply
+        for level, ops in enumerate(levels, start=1):
+            for index, op in enumerate(ops):
+                compute = partial(
+                    compose_op, op, kernels.pop(op.left), kernels.pop(op.right), multiply
+                )
+                if checkpoint is not None:
+                    a_lo, a_hi, b_lo, b_hi = spans[op.out]
+                    kernels[op.out] = checkpoint.compose(
+                        level, index, ca[a_lo:a_hi], cb[b_lo:b_hi], compute
                     )
-                    if checkpoint is not None:
-                        merged = checkpoint.compose(
-                            level, node_index,
-                            ca[a_offs[i] : a_offs[i + 1]],
-                            cb[b_offs[j] : b_offs[j + 2]],
-                            compute,
-                        )
-                    else:
-                        merged = compute()
-                    node_index += 1
-                    if on_compose is not None:
-                        on_compose(a_lens[i] + b_lens[j] + b_lens[j + 1])
-                    new_row.append(merged)
-                if n_outer % 2:
-                    new_row.append(grid[i][n_outer - 1])
-                grid[i] = new_row
-            for j in range(0, n_outer - 1, 2):
-                new_b_lens.append(b_lens[j] + b_lens[j + 1])
-            if n_outer % 2:
-                new_b_lens.append(b_lens[n_outer - 1])
-            b_lens = new_b_lens
-            n_outer = len(b_lens)
-        else:
-            new_a_lens = []
-            new_grid = []
-            for i in range(0, m_outer - 1, 2):
-                new_row = []
-                for j in range(n_outer):
-                    compute = lambda i=i, j=j: compose_vertical(
-                        grid[i][j], grid[i + 1][j], a_lens[i], a_lens[i + 1], b_lens[j], multiply
-                    )
-                    if checkpoint is not None:
-                        merged = checkpoint.compose(
-                            level, node_index,
-                            ca[a_offs[i] : a_offs[i + 2]],
-                            cb[b_offs[j] : b_offs[j + 1]],
-                            compute,
-                        )
-                    else:
-                        merged = compute()
-                    node_index += 1
-                    if on_compose is not None:
-                        on_compose(a_lens[i] + a_lens[i + 1] + b_lens[j])
-                    new_row.append(merged)
-                new_grid.append(new_row)
-                new_a_lens.append(a_lens[i] + a_lens[i + 1])
-            if m_outer % 2:
-                new_grid.append(grid[m_outer - 1])
-                new_a_lens.append(a_lens[m_outer - 1])
-            grid = new_grid
-            a_lens = new_a_lens
-            m_outer = len(a_lens)
+                else:
+                    kernels[op.out] = compute()
+                if on_compose is not None:
+                    on_compose(op.d0 + op.d1 + op.d2)
 
-    if checkpoint is not None:
-        checkpoint.finish(ca, cb, grid[0][0])
-    return grid[0][0]
+        if checkpoint is not None:
+            checkpoint.finish(ca, cb, kernels[root])
+        return kernels[root]

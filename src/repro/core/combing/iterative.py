@@ -110,33 +110,6 @@ def _antidiag_ranges(m: int, n: int):
         yield m + n - 1 - d, 0, d - m + 1
 
 
-def fused_antidiag_groups(m: int, n: int, budget: int | None = None):
-    """Group consecutive anti-diagonals into rounds of at most *budget*
-    cells (default ``4 * m``, i.e. roughly four full-length
-    anti-diagonals per round).
-
-    Consecutive anti-diagonals depend on each other, so a fused group
-    cannot be split across workers — it runs as ONE round whose thunk
-    combs its diagonals in order. That trades parallelism within the
-    group for a multiplicative cut in round count (and round barriers),
-    which is the right trade exactly when the diagonals are too short to
-    feed every worker anyway. Yields lists of ``(length, h_lo, v_lo)``
-    ranges (see :func:`_antidiag_ranges`).
-    """
-    if budget is None:
-        budget = 4 * m
-    group: list[tuple[int, int, int]] = []
-    cells = 0
-    for rng in _antidiag_ranges(m, n):
-        if group and cells + rng[0] > budget:
-            yield group
-            group, cells = [], 0
-        group.append(rng)
-        cells += rng[0]
-    if group:
-        yield group
-
-
 def iterative_combing_antidiag(a: Sequenceish, b: Sequenceish) -> PermArray:
     """Listing 4's anti-diagonal order with a scalar branching inner loop
     (``semi_antidiag``). Sequential; exists to measure the cost of the

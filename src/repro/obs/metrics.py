@@ -422,10 +422,6 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
      "Vectorized steady-ant lanes answered without recursion because one factor was the identity (composition padding)."),
     ("steady_ant.vectorized_plan_builds", "counter", "plans", "core.steady_ant",
      "Cold growths of the shared index buffer behind the batched kernels (zero after warm_compute_kernels)."),
-    ("compute.fused_tasks", "counter", "tasks", "core.combing",
-     "Multi-op fused tasks submitted by grid combing (adjacent levels merged under the payload budget)."),
-    ("compute.rounds_saved", "counter", "rounds", "core.combing",
-     "Machine rounds eliminated by fusing adjacent combing levels or wavefront anti-diagonals."),
     ("compute.pipelined_rounds", "counter", "rounds", "core.combing",
      "Grid rounds submitted while a previous round was still draining (double-buffered overlap)."),
     ("compute.multi_diag_calls", "counter", "calls", "core.bitparallel",

@@ -318,26 +318,7 @@ class QueryEngine:
         under the extended pair's key — so every later query on the
         extended pair is a plain hit.
         """
-        self._count_request()
-        ca, cb = self._encoded(a, b)
-        cs = encode(suffix)
-        if cs.size == 0:
-            return self.kernel(ca, cb)
-        extended = concat([ca, cs])
-        ext_key = self.key_of(extended, cb)
-        kern = self._mem_get(ext_key)
-        if kern is not None:
-            self._count_hit()
-            return kern
-        base = self.kernel(ca, cb)
-        suffix_kernel = np.asarray(self._comb(cs, cb), dtype=np.int64)
-        composite = compose_vertical(
-            base.kernel, suffix_kernel, base.m, cs.size, cb.size, self._multiply
-        )
-        with self._lock:
-            self.appends += 1
-        _metric_inc("query.appends", 1)
-        return self._install(ext_key, composite, extended.size, cb.size)
+        return self._extend(a, suffix, b, top=False)
 
     def prepend(
         self, prefix: Sequenceish, a: Sequenceish, b: Sequenceish
@@ -352,25 +333,34 @@ class QueryEngine:
         extended pair's key, so a string growing at the front reuses its
         existing kernel just like :meth:`append` does at the back.
         """
+        return self._extend(a, prefix, b, top=True)
+
+    def _extend(self, a, block, b, *, top: bool) -> SemiLocalKernel:
+        """Shared body of :meth:`append` (``top=False``: *block* goes
+        below ``a``) and :meth:`prepend` (``top=True``: above ``a``)."""
         self._count_request()
         ca, cb = self._encoded(a, b)
-        cp = encode(prefix)
-        if cp.size == 0:
+        cx = encode(block)
+        if cx.size == 0:
             return self.kernel(ca, cb)
-        extended = concat([cp, ca])
+        extended = concat([cx, ca] if top else [ca, cx])
         ext_key = self.key_of(extended, cb)
         kern = self._mem_get(ext_key)
         if kern is not None:
             self._count_hit()
             return kern
         base = self.kernel(ca, cb)
-        prefix_kernel = np.asarray(self._comb(cp, cb), dtype=np.int64)
+        upper = (np.asarray(self._comb(cx, cb), dtype=np.int64), cx.size)
+        lower = (base.kernel, base.m)
+        if not top:
+            upper, lower = lower, upper
         composite = compose_vertical(
-            prefix_kernel, base.kernel, cp.size, base.m, cb.size, self._multiply
+            upper[0], lower[0], upper[1], lower[1], cb.size, self._multiply
         )
+        counter = "prepends" if top else "appends"
         with self._lock:
-            self.prepends += 1
-        _metric_inc("query.prepends", 1)
+            setattr(self, counter, getattr(self, counter) + 1)
+        _metric_inc(f"query.{counter}", 1)
         return self._install(ext_key, composite, extended.size, cb.size)
 
     # -- dispatch ----------------------------------------------------------

@@ -1,27 +1,19 @@
-"""Unit tests for the explicit grid-reduction plan and round fusion (PR 8).
+"""Unit tests for the explicit grid-reduction plan (Listing 7).
 
-The plan is pure scheduling data; these tests pin down its invariants —
-id layout, span coverage, dependency order — and that :func:`fuse_plan`
-degenerates to the legacy one-round-per-level schedule at ``budget=0``
-while honouring its payload budget and depth cap otherwise.
+The plan is pure scheduling data that both the serial and the parallel
+grid execute; these tests pin down its invariants — id layout, span
+coverage, dependency order — under every reduction heuristic.
 """
 
-import numpy as np
+import pytest
 
-from repro.core.combing.hybrid import (
-    DEFAULT_FUSE_BUDGET,
-    MAX_FUSE_LEVELS,
-    _split_lengths,
-    fuse_plan,
-    plan_grid_reduction,
-)
-from repro.core.combing.iterative import _antidiag_ranges, fused_antidiag_groups
+from repro.core.combing.hybrid import REDUCTIONS, _split_lengths, plan_grid_reduction
 
 
-def _plan(m, n, m_outer, n_outer):
+def _plan(m, n, m_outer, n_outer, reduction="longest-side"):
     a_lens = _split_lengths(m, m_outer)
     b_lens = _split_lengths(n, n_outer)
-    return plan_grid_reduction(m, n, a_lens, b_lens)
+    return plan_grid_reduction(m, n, a_lens, b_lens, reduction)
 
 
 SHAPES = [(64, 64, 4, 4), (100, 40, 5, 2), (17, 90, 1, 6), (33, 7, 3, 1), (8, 8, 1, 1)]
@@ -80,91 +72,26 @@ class TestPlan:
         assert levels == [] and root == 0
 
 
-class TestFusePlan:
-    def test_budget_zero_is_one_round_per_level(self):
-        levels, spans, root = _plan(100, 40, 5, 2)
-        rounds = fuse_plan(levels, spans, budget=0)
-        assert len(rounds) == len(levels)
-        for ops, tasks in zip(levels, rounds):
-            assert sorted(op.out for t in tasks for op in t) == sorted(
-                op.out for op in ops
-            )
-            assert all(len(t) == 1 for t in tasks)
+class TestReductionHeuristics:
+    @pytest.mark.parametrize("reduction", REDUCTIONS)
+    def test_every_heuristic_plans_a_full_tree(self, reduction):
+        for m, n, mo, no in SHAPES:
+            levels, spans, root = _plan(m, n, mo, no, reduction)
+            assert spans[root] == (0, m, 0, n)
+            assert sum(map(len, levels)) == mo * no - 1  # a binary tree
 
-    def test_max_levels_one_is_one_round_per_level(self):
-        levels, spans, root = _plan(64, 64, 4, 4)
-        rounds = fuse_plan(levels, spans, budget=1 << 60, max_levels=1)
-        assert len(rounds) == len(levels)
+    def test_rows_first_exhausts_horizontal_merges(self):
+        levels, _, _ = _plan(64, 64, 4, 4, "rows-first")
+        assert [{op.kind for op in ops} for ops in levels] == [{"h"}, {"h"}, {"v"}, {"v"}]
 
-    def test_huge_budget_fuses_to_depth_cap(self):
-        levels, spans, root = _plan(64, 64, 4, 4)
-        rounds = fuse_plan(levels, spans, budget=1 << 60)
-        assert len(rounds) == -(-len(levels) // MAX_FUSE_LEVELS)
-        # every op appears exactly once across all rounds
-        got = sorted(op.out for rnd in rounds for t in rnd for op in t)
-        assert got == sorted(op.out for ops in levels for op in ops)
+    def test_cols_first_exhausts_vertical_merges(self):
+        levels, _, _ = _plan(64, 64, 4, 4, "cols-first")
+        assert [{op.kind for op in ops} for ops in levels] == [{"v"}, {"v"}, {"h"}, {"h"}]
 
-    def test_fused_tasks_keep_dependency_order(self):
-        levels, spans, root = _plan(64, 64, 4, 4)
-        for rnd in fuse_plan(levels, spans, budget=1 << 60):
-            for task in rnd:
-                produced = set()
-                for op in task:
-                    # a fused op's inputs are external or already produced
-                    for src in (op.left, op.right):
-                        assert src not in {o.out for o in task} - produced
-                    produced.add(op.out)
+    def test_longest_side_alternates_on_a_square_grid(self):
+        levels, _, _ = _plan(64, 64, 4, 4)
+        assert [{op.kind for op in ops} for ops in levels] == [{"h"}, {"v"}, {"h"}, {"v"}]
 
-    def test_rounds_only_consume_earlier_rounds(self):
-        levels, spans, root = _plan(100, 40, 5, 2)
-        for budget in (0, 64, 4096, DEFAULT_FUSE_BUDGET, 1 << 60):
-            rounds = fuse_plan(levels, spans, budget=budget)
-            done = {i for i in spans if i < 10}  # the 5x2 leaves
-            for rnd in rounds:
-                outs = {op.out for t in rnd for op in t}
-                for task in rnd:
-                    internal = {op.out for op in task}
-                    for op in task:
-                        for src in (op.left, op.right):
-                            assert src in done or src in internal
-                done |= outs
-
-    def test_fused_task_payload_within_budget(self):
-        levels, spans, root = _plan(256, 256, 8, 8)
-        itemsize = 8
-        budget = 2048
-        for rnd in fuse_plan(levels, spans, budget=budget, itemsize=itemsize):
-            for task in rnd:
-                if len(task) == 1:
-                    continue  # singletons are always admissible
-                outs = {op.out for op in task}
-                ext = [s for op in task for s in (op.left, op.right) if s not in outs]
-                payload = sum(
-                    (spans[s][1] - spans[s][0] + spans[s][3] - spans[s][2]) * itemsize
-                    for s in ext
-                )
-                assert payload <= budget
-
-
-class TestWavefrontGroups:
-    def test_groups_concatenate_to_ranges(self):
-        for m, n in [(5, 9), (16, 16), (1, 7), (40, 3)]:
-            want = list(_antidiag_ranges(m, n))
-            for budget in (None, 1, 8, 10**9):
-                got = [
-                    rng
-                    for grp in fused_antidiag_groups(m, n, budget)
-                    for rng in grp
-                ]
-                assert got == want, (m, n, budget)
-
-    def test_budget_bounds_group_cells(self):
-        m, n = 16, 24
-        budget = 3 * m
-        for grp in fused_antidiag_groups(m, n, budget):
-            cells = sum(r[0] for r in grp)
-            assert cells <= budget or len(grp) == 1
-
-    def test_huge_budget_is_one_group(self):
-        groups = list(fused_antidiag_groups(12, 12, 10**9))
-        assert len(groups) == 1
+    def test_unknown_heuristic_rejected(self):
+        with pytest.raises(ValueError):
+            _plan(8, 8, 2, 2, "diagonal-first")

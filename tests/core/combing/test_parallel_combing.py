@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.combing.iterative import iterative_combing_rowmajor
 from repro.core.combing.parallel import (
-    _chunks,
     parallel_hybrid_combing_grid,
     parallel_iterative_combing,
     parallel_load_balanced_combing,
@@ -19,18 +18,6 @@ PARALLEL_FNS = [
     parallel_load_balanced_combing,
     parallel_hybrid_combing_grid,
 ]
-
-
-class TestChunks:
-    def test_partition(self):
-        chunks = _chunks(10, 3)
-        assert chunks == [(0, 4), (4, 7), (7, 10)]
-
-    def test_more_workers_than_items(self):
-        assert _chunks(2, 8) == [(0, 1), (1, 2)]
-
-    def test_single_worker(self):
-        assert _chunks(5, 1) == [(0, 5)]
 
 
 @pytest.mark.parametrize("fn", PARALLEL_FNS, ids=lambda f: f.__name__)

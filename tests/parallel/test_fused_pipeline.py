@@ -1,10 +1,11 @@
-"""Fused + pipelined grid combing on real and faulty machines (PR 8).
+"""The pipelined grid dataflow on real and faulty machines.
 
-The dataflow executor submits fused rounds with two rounds in flight;
-these tests pin down that the pipelining is real (the metric fires on a
-process machine), that results stay bit-identical to the serial
-reference, and that the resilience ladder — including a worker dying in
-the middle of a fused round — still recovers to the exact kernel.
+The dataflow executor submits the grid plan's tasks with two rounds in
+flight; these tests pin down that the pipelining is real (the metric
+fires on a process machine and never on a synchronous one), that results
+stay bit-identical to the serial reference, and that the resilience
+ladder — including a worker dying in the middle of a round — still
+recovers to the exact kernel.
 """
 
 import warnings
@@ -51,17 +52,19 @@ class TestProcessMachine:
         counter = get_metrics().counter("compute.pipelined_rounds")
         with ProcessMachine(workers=2) as machine:
             before = counter.value
-            # budget 0 keeps every level a separate round: with n_tasks=4
-            # and 2 workers the executor must overlap submissions
-            got = grid(machine, fuse_rounds=False, pipeline=True)
+            # with n_tasks=4 and 2 workers the executor must overlap
+            # submissions
+            got = grid(machine)
         assert np.array_equal(got, reference())
         assert counter.value > before
 
     def test_sync_mode_never_overlaps(self):
+        # an in-process machine completes each round at submission, so
+        # there is never a round in flight to overlap
         counter = get_metrics().counter("compute.pipelined_rounds")
-        with ProcessMachine(workers=2) as machine:
+        with ThreadMachine(workers=2) as machine:
             before = counter.value
-            got = grid(machine, pipeline=False)
+            got = grid(machine)
         assert np.array_equal(got, reference())
         assert counter.value == before
 
@@ -85,7 +88,7 @@ class TestFusedRoundsUnderFaults:
 
     def test_worker_death_mid_fused_round(self):
         # ChaosProcessDeath kills the hosting worker process itself; the
-        # ladder rebuilds the pool and re-runs the fused round
+        # ladder rebuilds the pool and re-runs the round
         inner = ProcessMachine(workers=2)
         machine = self._resilient(inner, crash_rate=0.15)
         try:
@@ -102,23 +105,7 @@ class TestFusedRoundsUnderFaults:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegradedExecutionWarning)
-                got = grid(machine, pipeline=True, fuse_rounds=True)
+                got = grid(machine)
         finally:
             inner.close()
         assert np.array_equal(got, reference())
-
-
-class TestMetricsAccounting:
-    def test_fused_tasks_counted(self):
-        counter = get_metrics().counter("compute.fused_tasks")
-        saved = get_metrics().counter("compute.rounds_saved")
-        before, before_saved = counter.value, saved.value
-        grid(SerialMachine(), fuse_rounds=True, fuse_budget=1 << 30)
-        assert counter.value > before
-        assert saved.value > before_saved
-
-    def test_unfused_counts_nothing(self):
-        counter = get_metrics().counter("compute.fused_tasks")
-        before = counter.value
-        grid(SerialMachine(), fuse_rounds=False)
-        assert counter.value == before

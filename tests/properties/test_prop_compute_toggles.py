@@ -1,10 +1,10 @@
 """Property tests for the compute toggles.
 
 Every optimization is a pure scheduling/batching change, so each knob —
-fused reduction rounds, pipelined submission, wavefront fusion, the
-multi-diagonal bit comber — must be *bit-identical* to its off position
-across random inputs, blends and strand dtypes, and the library's
-vectorized steady ant must match the scalar recursion it replaced.
+the grid's multiply, blend and strand dtype, the multi-diagonal bit
+comber — must be *bit-identical* to its off position across random
+inputs, and the library's vectorized steady ant must match the scalar
+recursion it replaced.
 """
 
 import numpy as np
@@ -13,16 +13,13 @@ from hypothesis import strategies as st
 
 from repro.core.bitparallel import bit_lcs
 from repro.core.combing.hybrid import hybrid_combing_grid
-from repro.core.combing.parallel import (
-    parallel_hybrid_combing_grid,
-    parallel_iterative_combing,
-)
+from repro.core.combing.parallel import parallel_hybrid_combing_grid
 from repro.core.steady_ant import (
     steady_ant_combined,
     steady_ant_sequential,
     steady_ant_vectorized,
 )
-from repro.parallel import SerialMachine, ThreadMachine
+from repro.parallel import SerialMachine
 
 strings = st.text(alphabet="abcd", min_size=1, max_size=40)
 perm_pairs = st.integers(0, 2**32 - 1).flatmap(
@@ -49,44 +46,11 @@ def test_all_toggle_combinations_agree(a, b, blend, use_16bit):
     machine = SerialMachine()
     want = hybrid_combing_grid(a, b, 3)
     for multiply in (steady_ant_combined, None):
-        for fuse_rounds in (False, True):
-            for pipeline in (False, True):
-                got = parallel_hybrid_combing_grid(
-                    a, b, machine, n_tasks=4, blend=blend, use_16bit=use_16bit,
-                    multiply=multiply, fuse_rounds=fuse_rounds,
-                    pipeline=pipeline,
-                )
-                assert np.array_equal(np.asarray(got, dtype=np.int64), want), (
-                    multiply, fuse_rounds, pipeline)
-
-
-@given(strings, strings, st.sampled_from([0, 64, 4096, None, 10**9]))
-@settings(max_examples=30, deadline=None)
-def test_fuse_budget_never_changes_the_kernel(a, b, budget):
-    machine = SerialMachine()
-    want = parallel_hybrid_combing_grid(
-        a, b, machine, n_tasks=4, fuse_rounds=False, pipeline=False,
-        multiply=steady_ant_combined,
-    )
-    got = parallel_hybrid_combing_grid(
-        a, b, machine, n_tasks=4, fuse_rounds=True, fuse_budget=budget,
-    )
-    assert np.array_equal(np.asarray(got, dtype=np.int64),
-                          np.asarray(want, dtype=np.int64))
-
-
-@given(strings, strings, st.sampled_from([None, 1, 8, 10**9]))
-@settings(max_examples=30, deadline=None)
-def test_wavefront_fusion_equals_unfused(a, b, budget):
-    machine = ThreadMachine(workers=2)
-    try:
-        want = parallel_iterative_combing(a, b, machine, fuse_rounds=False)
-        got = parallel_iterative_combing(
-            a, b, machine, fuse_rounds=True, fuse_budget=budget
+        got = parallel_hybrid_combing_grid(
+            a, b, machine, n_tasks=4, blend=blend, use_16bit=use_16bit,
+            multiply=multiply,
         )
-    finally:
-        machine.close()
-    assert np.array_equal(got, want)
+        assert np.array_equal(np.asarray(got, dtype=np.int64), want), multiply
 
 
 bits = st.lists(st.integers(0, 1), min_size=1, max_size=200)
