@@ -19,6 +19,7 @@ from ..alphabet import encode
 from ..baselines.prefix_lcs import prefix_lcs_rowmajor
 from ..core.kernel import SemiLocalKernel
 from ..types import Sequenceish
+from .approximate_matching import sliding_window_scores
 
 
 def indel_distance(x: Sequenceish, y: Sequenceish) -> int:
@@ -31,16 +32,10 @@ def window_distances(
     pattern: Sequenceish, text: Sequenceish, window: int | None = None
 ) -> np.ndarray:
     """``out[l] = d_indel(pattern, text[l : l + window))`` for all offsets
-    from one semi-local combing."""
-    cp, ct = encode(pattern), encode(text)
+    from one semi-local combing (:func:`sliding_window_scores`)."""
+    cp = encode(pattern)
     window = cp.size if window is None else window
-    if window <= 0 or window > ct.size:
-        return np.zeros(0, dtype=np.int64)
-    kernel = SemiLocalKernel.from_strings(cp, ct)
-    scores = np.asarray(
-        [kernel.string_substring(l, l + window) for l in range(ct.size - window + 1)],
-        dtype=np.int64,
-    )
+    scores = sliding_window_scores(cp, text, window)
     return cp.size + window - 2 * scores
 
 

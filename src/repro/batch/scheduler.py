@@ -70,10 +70,10 @@ def _pair_kernel(algorithm: str, ca, cb, kwargs: dict):
 def _pair_score(algorithm: str, ca, cb, kwargs: dict) -> int:
     """Fallback worker: one pair, one LCS score."""
     from .. import SEMILOCAL_ALGORITHMS
-    from ..core.kernel import SemiLocalKernel
+    from ..core.combing.iterative import lcs_score_from_kernel
 
     kern = SEMILOCAL_ALGORITHMS[algorithm](ca, cb, **kwargs)
-    return int(SemiLocalKernel(kern, ca.size, cb.size, validate=False).lcs_whole())
+    return lcs_score_from_kernel(kern, ca.size, cb.size)
 
 
 def _ceil_pow2(x: int, floor: int) -> int:

@@ -455,12 +455,10 @@ def _flip_kernel(kernel_ba: PermArray, m_b: int, n_a: int) -> PermArray:
 
 
 def lcs_score_from_kernel(kernel: PermArray, m: int, n: int) -> int:
-    """Global LCS score directly from the kernel.
+    """Global ``LCS(a, b)`` read straight off the kernel, no counter.
 
-    ``LCS(a, b)`` equals the number of strands that start on the left edge
-    and end on the right edge is ``m - score`` ... more usefully: see
-    :class:`repro.core.kernel.SemiLocalKernel`; this helper just asks it.
+    ``H[m, n] = n - #{s >= m, e < n}``: the score is ``n`` minus the
+    top-edge strands (starts ``m..m+n-1``) that end on the bottom edge
+    (ends ``0..n-1``), i.e. the strands that cross the grid vertically.
     """
-    from ..kernel import SemiLocalKernel
-
-    return SemiLocalKernel(kernel, m, n).lcs_whole()
+    return n - int(np.count_nonzero(np.asarray(kernel)[m:] < n))

@@ -23,10 +23,9 @@ Conventions (verified against the brute-force DP of Definition 3.3 in
 
       H[i, j] = (j + m - i) - #{ (s, e) in P : s >= i, e < j }
 
-  evaluated in O(1) from a dense prefix table for small kernels, or in
-  O(log n) from a wavelet matrix for large ones (linear memory, as
-  promised in §3 of the paper; ``counter_kind`` selects the structure
-  explicitly — see :mod:`repro.core.dominance`). Array-valued queries
+  evaluated in O(log n) from a wavelet matrix at every kernel order
+  (linear memory, as promised in §3 of the paper — see
+  :mod:`repro.core.dominance`). Array-valued queries
   (whole rows of scores, windowed sweeps) go through the counter's
   batched ``count_many`` — one vectorized probe carrying every index
   pair at once instead of a Python loop of descents;
@@ -42,7 +41,7 @@ import numpy as np
 from ..errors import QueryError, ShapeMismatchError
 from ..obs.metrics import inc as _metric_inc
 from ..types import PermArray, Sequenceish
-from .dominance import make_counter, resolve_counter_kind
+from .dominance import counter_to_bytes, make_counter
 from .permutation import validate_permutation
 
 
@@ -55,21 +54,13 @@ class SemiLocalKernel:
         Permutation of ``[0, m+n)`` mapping strand starts to ends.
     m, n:
         Lengths of the input strings ``a`` and ``b``.
-    dense_threshold:
-        Kernels of order up to this use the O(n^2)-memory dense counter
-        (O(1) queries); larger kernels use the wavelet matrix
-        (O(n log n) memory, O(log n) queries, vectorized batch probes).
-    counter_kind:
-        Force a counting structure (one of
-        :data:`repro.core.dominance.COUNTER_KINDS`) instead of the
-        size-based default; the ``REPRO_COUNTER`` environment variable
-        overrides the default but not an explicit kind.
     counter:
-        A pre-built counter to adopt (e.g. deserialized from a
+        A pre-built wavelet matrix to adopt (e.g. deserialized from a
         :class:`~repro.checkpoint.store.KernelStore` artifact via
         :func:`repro.core.dominance.counter_from_bytes`). Adopted only
-        when its order and kind match what would be built here;
-        otherwise it is ignored and a fresh counter is constructed.
+        when its order matches the kernel's; otherwise it is ignored and
+        a fresh one is built by :func:`~repro.core.dominance.make_counter`
+        (O(n log n) memory, O(log n) queries, vectorized batch probes).
     """
 
     def __init__(
@@ -79,8 +70,6 @@ class SemiLocalKernel:
         n: int,
         *,
         validate: bool = True,
-        dense_threshold: int = 2048,
-        counter_kind: str | None = None,
         counter=None,
     ):
         kernel = np.asarray(kernel, dtype=np.int64)
@@ -91,20 +80,10 @@ class SemiLocalKernel:
         self.kernel = kernel
         self.m = int(m)
         self.n = int(n)
-        self._dense_threshold = dense_threshold
-        self.counter_kind = resolve_counter_kind(
-            kernel.size, dense_threshold=dense_threshold, kind=counter_kind
-        )
-        if (
-            counter is not None
-            and getattr(counter, "kind", None) == self.counter_kind
-            and counter.n == kernel.size
-        ):
+        if counter is not None and counter.n == kernel.size:
             self._counter = counter
         else:
-            self._counter = make_counter(
-                kernel, dense_threshold=dense_threshold, kind=self.counter_kind
-            )
+            self._counter = make_counter(kernel)
             _metric_inc("kernel.counter_builds", 1)
         self._flipped_cache: "SemiLocalKernel | None" = None
 
@@ -240,12 +219,9 @@ class SemiLocalKernel:
         )
         return np.where(grid[:, None] <= grid[None, :], scores, 0)
 
-    def export_counter(self) -> bytes | None:
+    def export_counter(self) -> bytes:
         """The built counter's serialized levels
-        (:func:`repro.core.dominance.counter_to_bytes`), or ``None`` for
-        kinds that are cheaper to rebuild than to persist (dense)."""
-        from .dominance import counter_to_bytes
-
+        (:func:`repro.core.dominance.counter_to_bytes`)."""
         return counter_to_bytes(self._counter)
 
     def flipped(self) -> "SemiLocalKernel":
@@ -254,14 +230,7 @@ class SemiLocalKernel:
         if self._flipped_cache is None:
             size = self.m + self.n
             rotated = (size - 1 - self.kernel)[::-1].copy()
-            self._flipped_cache = SemiLocalKernel(
-                rotated,
-                self.n,
-                self.m,
-                validate=False,
-                dense_threshold=self._dense_threshold,
-                counter_kind=self.counter_kind,
-            )
+            self._flipped_cache = SemiLocalKernel(rotated, self.n, self.m, validate=False)
         return self._flipped_cache
 
     def __repr__(self) -> str:

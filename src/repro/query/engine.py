@@ -78,15 +78,6 @@ class QueryEngine:
         Braid multiplication used by :meth:`append` / :meth:`prepend`
         compositions (default: the library's level-vectorized steady
         ant, :data:`~repro.core.steady_ant.steady_ant_multiply`).
-    dense_threshold:
-        Passed through to :class:`~repro.core.kernel.SemiLocalKernel` —
-        kernels of order up to this use the O(1)-query dense counter.
-    counter_kind:
-        Force a dominance-counting structure (one of
-        :data:`repro.core.dominance.COUNTER_KINDS`) for every kernel this
-        engine wraps, instead of the size-based default (dense below the
-        threshold, wavelet above). The ``REPRO_COUNTER`` environment
-        variable overrides the default but not an explicit kind here.
     """
 
     def __init__(
@@ -96,8 +87,6 @@ class QueryEngine:
         max_kernels: int = 64,
         comb=None,
         multiply=None,
-        dense_threshold: int = 2048,
-        counter_kind: str | None = None,
     ):
         if max_kernels <= 0:
             raise QueryError(f"max_kernels must be positive, got {max_kernels}")
@@ -109,8 +98,6 @@ class QueryEngine:
         if multiply is None:
             from ..core.steady_ant import steady_ant_multiply as multiply
         self._multiply = multiply
-        self._dense_threshold = int(dense_threshold)
-        self._counter_kind = counter_kind
         self._mem: "OrderedDict[str, SemiLocalKernel]" = OrderedDict()
         self._lock = threading.Lock()
         self.requests = 0
@@ -205,15 +192,7 @@ class QueryEngine:
     def _wrap(
         self, perm: PermArray, m: int, n: int, counter=None
     ) -> SemiLocalKernel:
-        return SemiLocalKernel(
-            perm,
-            m,
-            n,
-            validate=False,
-            dense_threshold=self._dense_threshold,
-            counter_kind=self._counter_kind,
-            counter=counter,
-        )
+        return SemiLocalKernel(perm, m, n, validate=False, counter=counter)
 
     def _install(self, key: str, perm: PermArray, m: int, n: int) -> SemiLocalKernel:
         kern = self._wrap(perm, m, n)

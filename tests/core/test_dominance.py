@@ -1,10 +1,20 @@
 """Tests for the dominance-counting query structures."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.core.dist_matrix import dominance_count
-from repro.core.dominance import DenseCounter, DominanceCounter, WaveletCounter, make_counter
+from repro.core.dominance import (
+    COUNTER_FORMAT,
+    DenseCounter,
+    DominanceCounter,
+    WaveletCounter,
+    counter_from_bytes,
+    counter_to_bytes,
+    make_counter,
+)
 
 
 @pytest.mark.parametrize("counter_cls", [DenseCounter, DominanceCounter, WaveletCounter])
@@ -58,27 +68,27 @@ class TestMergeSortTreeInternals:
 
 
 class TestMakeCounter:
-    def test_threshold_selects_implementation(self):
-        small = make_counter(np.arange(4), dense_threshold=8)
-        large = make_counter(np.arange(16), dense_threshold=8)
-        assert isinstance(small, DenseCounter)
-        assert isinstance(large, WaveletCounter)
+    def test_wavelet_at_every_order(self):
+        """No size cut-off: small kernels get the linear-memory wavelet
+        matrix too, not an O(n^2) table."""
+        for n in (0, 1, 4, 2048, 2049):
+            assert isinstance(make_counter(np.arange(n)), WaveletCounter)
 
-    def test_explicit_kind_wins(self):
-        tree = make_counter(np.arange(4), dense_threshold=8, kind="merge-sort-tree")
-        assert isinstance(tree, DominanceCounter)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COUNTER", "merge-sort-tree")
-        assert isinstance(make_counter(np.arange(4), dense_threshold=8), DominanceCounter)
-        # explicit kind beats the env var
-        assert isinstance(
-            make_counter(np.arange(4), dense_threshold=8, kind="dense"), DenseCounter
-        )
+class TestCounterBytes:
+    def test_merge_sort_tree_payload_rejected(self):
+        """A kind-1 (merge-sort-tree) sidecar from an older store raises
+        ValueError — the "no persisted counter" signal callers rebuild on."""
+        payload = struct.pack("<4sIIq", b"RPCT", COUNTER_FORMAT, 1, 4)
+        payload += struct.pack("<I", 3) + np.zeros(12, dtype="<i8").tobytes()
+        with pytest.raises(ValueError, match="kind code 1"):
+            counter_from_bytes(payload)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(KeyError):
-            make_counter(np.arange(4), kind="btree")
+    def test_truncated_and_trailing_payloads_rejected(self, rng):
+        data = counter_to_bytes(make_counter(rng.permutation(9)))
+        for bad in (data[:3], data[:24], data[:-8], data + b"\0"):
+            with pytest.raises(ValueError):
+                counter_from_bytes(bad)
 
 
 class TestWaveletInternals:

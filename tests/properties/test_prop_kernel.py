@@ -4,12 +4,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.lcs_dp import lcs_score_scalar
+from repro.baselines.lcs_dp import lcs_score_dp, lcs_score_scalar
 from repro.core.combing.hybrid import hybrid_combing, hybrid_combing_grid
 from repro.core.combing.iterative import (
     iterative_combing_antidiag_simd,
     iterative_combing_load_balanced,
     iterative_combing_rowmajor,
+    lcs_score_from_kernel,
 )
 from repro.core.combing.recursive import recursive_combing
 from repro.core.kernel import SemiLocalKernel
@@ -93,3 +94,15 @@ def test_self_comparison_perfect_score(a):
     # every prefix of a vs a scores its own length
     for l in range(len(a) + 1):
         assert k.prefix_suffix(l, 0) == l
+
+
+@given(
+    st.lists(st.integers(0, 3), max_size=16),
+    st.lists(st.integers(0, 3), max_size=16),
+)
+@settings(max_examples=150, deadline=None)
+def test_lcs_score_from_kernel_closed_form(a, b):
+    """``n - #{top-edge strands ending on the bottom edge}`` is the DP
+    score, empty strings included."""
+    kernel = iterative_combing_rowmajor(a, b)
+    assert lcs_score_from_kernel(kernel, len(a), len(b)) == lcs_score_dp(a, b)

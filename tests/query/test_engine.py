@@ -1,10 +1,12 @@
 """QueryEngine: one cached kernel, many queries, two memoization levels."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro import semilocal_lcs
-from repro.baselines.lcs_dp import lcs_score_dp
+from repro.baselines.lcs_dp import lcs_score_dp, lcs_table
 from repro.checkpoint import KernelStore
 from repro.errors import QueryError
 from repro.query import QUERY_ALGORITHM, QueryEngine
@@ -188,18 +190,17 @@ class TestCounterPersistence:
     """The tentpole regression: a KernelStore disk hit must answer
     array-valued queries without re-running the O(n log n) counter
     build (``kernel.counter_builds`` pinned at zero on the second
-    engine). ``dense_threshold=4`` forces the persistable wavelet
-    counter on these short test strings."""
+    engine)."""
 
     def test_store_hit_skips_counter_build(self, tmp_path):
         from repro.obs.metrics import get_metrics
 
-        first = QueryEngine(store=KernelStore(tmp_path / "c"), dense_threshold=4)
+        first = QueryEngine(store=KernelStore(tmp_path / "c"))
         baseline = [int(s) for s in first.all_prefix_scores(A, B)]
 
         builds = get_metrics().counter("kernel.counter_builds")
         before = builds.value
-        second = QueryEngine(store=KernelStore(tmp_path / "c"), dense_threshold=4)
+        second = QueryEngine(store=KernelStore(tmp_path / "c"))
         out = [int(s) for s in second.all_prefix_scores(A, B)]
         assert out == baseline
         assert out == [lcs_score_dp(A, B[:r]) for r in range(len(B) + 1)]
@@ -211,44 +212,73 @@ class TestCounterPersistence:
         ``counter_sha256`` in the manifest) keep answering queries —
         the counter is simply rebuilt."""
         store = KernelStore(tmp_path / "c")
-        eng = QueryEngine(store=store, dense_threshold=4)
+        eng = QueryEngine(store=store)
         key = eng.key_of(A, B)
         perm = eng.kernel(A, B).kernel
         store.put(key, perm, algorithm=QUERY_ALGORITHM, m=len(A), n=len(B))
         assert not store._counter_path(key).exists()
 
-        fresh = QueryEngine(store=KernelStore(tmp_path / "c"), dense_threshold=4)
+        fresh = QueryEngine(store=KernelStore(tmp_path / "c"))
         out = [int(s) for s in fresh.all_prefix_scores(A, B)]
         assert out == [lcs_score_dp(A, B[:r]) for r in range(len(B) + 1)]
         assert fresh.kernel_builds == 0  # permutation still a disk hit
 
     def test_corrupt_sidecar_never_poisons_answers(self, tmp_path):
         store = KernelStore(tmp_path / "c")
-        QueryEngine(store=store, dense_threshold=4).lcs(A, B)
+        QueryEngine(store=store).lcs(A, B)
         key = QueryEngine().key_of(A, B)
         sidecar = store._counter_path(key)
         assert sidecar.exists()
         sidecar.write_bytes(b"garbage")
 
-        fresh = QueryEngine(store=KernelStore(tmp_path / "c"), dense_threshold=4)
+        fresh = QueryEngine(store=KernelStore(tmp_path / "c"))
         assert fresh.lcs(A, B) == lcs_score_dp(A, B)
 
-    def test_counter_kind_is_threaded(self, tmp_path):
-        eng = QueryEngine(
-            store=KernelStore(tmp_path / "c"),
-            dense_threshold=4,
-            counter_kind="merge-sort-tree",
-        )
-        assert eng.kernel(A, B).counter_kind == "merge-sort-tree"
-        # the persisted sidecar revives as the same kind on a new engine
-        second = QueryEngine(
-            store=KernelStore(tmp_path / "c"),
-            dense_threshold=4,
-            counter_kind="merge-sort-tree",
-        )
-        kern = second.kernel(A, B)
-        assert kern.counter_kind == "merge-sort-tree"
-        assert kern._counter.kind == "merge-sort-tree"
+    def test_store_written_before_single_counter_loads(self, tmp_path):
+        """A store written when small kernels had an unpersisted dense
+        table and the merge-sort tree was selectable: a kernel with a
+        kind-1 (merge-sort-tree) sidecar and a small kernel with no
+        sidecar both load, rebuild their wavelet matrix exactly once,
+        and answer every array op like the DP."""
+        from repro.core.dominance import COUNTER_FORMAT, DominanceCounter
+        from repro.obs.metrics import get_metrics
+
+        def tree_sidecar(perm):  # the kind-1 payload older stores wrote
+            levels = DominanceCounter(perm)._levels
+            head = struct.pack("<4sIIq", b"RPCT", COUNTER_FORMAT, 1, perm.size)
+            return head + struct.pack("<I", len(levels)) + b"".join(
+                np.asarray(lvl, dtype="<i8").tobytes() for lvl in levels
+            )
+
+        rng = np.random.default_rng(3)
+        big_a = "".join(rng.choice(list("acgt"), 24))
+        big_b = "".join(rng.choice(list("acgt"), 2040))
+        root = tmp_path / "old"
+        builder = QueryEngine()
+        store = KernelStore(root)
+        for a, b, sidecar in ((big_a, big_b, tree_sidecar), (A, B, None)):
+            perm = builder.kernel(a, b).kernel
+            assert (perm.size > 2048) == (sidecar is not None)
+            store.put(builder.key_of(a, b), perm, algorithm=QUERY_ALGORITHM,
+                      m=len(a), n=len(b), counter=sidecar and sidecar(perm))
+
+        builds = get_metrics().counter("kernel.counter_builds")
+        for a, b in ((big_a, big_b), (A, B)):
+            eng = QueryEngine(store=KernelStore(root))
+            before = builds.value
+            w = len(a)
+            prefix = lcs_table(a, b)[-1]
+            suffix = lcs_table(a[::-1], b[::-1])[-1][::-1]
+            assert eng.all_prefix_scores(a, b).tolist() == prefix.tolist()
+            assert eng.all_suffix_scores(a, b).tolist() == suffix.tolist()
+            assert eng.windowed_lcs(a, b, w).tolist() == [
+                lcs_score_dp(a, b[l : l + w]) for l in range(len(b) - w + 1)
+            ]
+            for start, end, score in eng.substring_threshold_matches(a, b, 0.5):
+                assert score == lcs_score_dp(a, b[start:end]) >= w / 2
+            assert eng.lcs(a, b) == prefix[-1]
+            assert builds.value - before == 1
+            assert eng.kernel_builds == 0
 
 
 class TestStats:
