@@ -9,8 +9,9 @@ Measures, at each size (random 4-symbol strings):
   (``lcs``, ``windowed_lcs``, ``all_prefix_scores``,
   ``all_suffix_scores``, ``substring_threshold_matches``), plus the
   amortized per-dominance-count cost for the array-valued ops;
-- ``append_s`` vs ``recomb_s`` — extending the pair by a short suffix via
-  Theorem 3.4 composition against recombing ``a + suffix`` whole;
+- ``append_s`` vs ``recomb_s`` — extending the pair by a short suffix by
+  continuing the cached kernel's comb against recombing ``a + suffix``
+  whole;
 - ``store_hit_s`` — a second engine fetching the kernel from an on-disk
   :class:`~repro.checkpoint.store.KernelStore` instead of combing;
 - the ``probes`` section — the batched-probe claim: the
@@ -26,7 +27,7 @@ Usage::
 
 ``--check`` exits non-zero unless, at the largest size, a cached ``lcs``
 query is >= 20x faster than the cold kernel build (the one-kernel /
-many-queries claim), the Theorem 3.4 append beats the full recomb, and
+many-queries claim), the continued-comb append beats the full recomb, and
 the batched wavelet probe beats the scalar merge-tree loop by >= 10x
 with DP-verified outputs.
 """
@@ -103,7 +104,7 @@ def measure_size(n: int, repeats: int) -> dict:
             "speedup_vs_build_x": round(build_s / op_s, 1),
         }
 
-    # Theorem 3.4 append vs recombing the extended pair from scratch.
+    # Continued-comb append vs recombing the extended pair from scratch.
     # The base kernel is installed *outside* the timed region — the
     # query tier's whole premise is that it is already cached.
     suffix = a[: max(8, n // 64)]

@@ -39,6 +39,7 @@ Variants implemented here:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Literal
 
 import numpy as np
@@ -91,22 +92,35 @@ def iterative_combing_rowmajor(a: Sequenceish, b: Sequenceish) -> PermArray:
     return _extract_kernel(np.asarray(h_strands), np.asarray(v_strands))
 
 
-def _antidiag_ranges(m: int, n: int):
-    """Yield ``(length, h_lo, v_lo)`` for every anti-diagonal of an
-    ``m x n`` grid with ``m <= n`` (Listing 4's three phases).
+def _antidiag_ranges(m: int, n: int, d_lo: int = 0, d_hi: int | None = None):
+    """Yield ``(length, h_lo, v_lo)`` for the anti-diagonals
+    ``d_lo <= d < d_hi`` (default: all ``m + n - 1`` of them) of an
+    ``m x n`` grid of any shape, ``m > n`` included: Listing 4's growing,
+    full-length and shrinking phases.
 
     ``h_lo``/``v_lo`` index into ``h_strands``/``v_strands``; cell ``k`` of
     the anti-diagonal touches ``h_strands[h_lo + k]`` and
-    ``v_strands[v_lo + k]``.
+    ``v_strands[v_lo + k]``. Phase by phase, so no diagonal pays for
+    clipping its own bounds.
     """
+    if d_hi is None:
+        d_hi = m + n - 1
+    short, long_ = min(m, n), max(m, n)
+    if short == 0:
+        return
     # phase 1: growing anti-diagonals (top-left triangle)
-    for d in range(0, m - 1):
+    for d in range(d_lo, min(d_hi, short - 1)):
         yield d + 1, m - 1 - d, 0
-    # phase 2: full-length anti-diagonals
-    for d in range(m - 1, n):
-        yield m, 0, d - m + 1
+    # phase 2: full-length anti-diagonals, sliding right (m <= n) or down
+    full = range(max(d_lo, short - 1), min(d_hi, long_))
+    if m <= n:
+        for d in full:
+            yield m, 0, d - m + 1
+    else:
+        for d in full:
+            yield n, m - 1 - d, 0
     # phase 3: shrinking anti-diagonals (bottom-right triangle)
-    for d in range(n, m + n - 1):
+    for d in range(max(d_lo, long_), d_hi):
         yield m + n - 1 - d, 0, d - m + 1
 
 
@@ -134,6 +148,18 @@ def iterative_combing_antidiag(a: Sequenceish, b: Sequenceish) -> PermArray:
                 h_strands[hk] = v
                 v_strands[vk] = h
     return _extract_kernel(np.asarray(h_strands), np.asarray(v_strands))
+
+
+@contextmanager
+def leaf_span(m: int, n: int):
+    """Account one ``m x n`` comb: bump ``combing.leaf_calls`` /
+    ``combing.leaf_cells`` and run the body under the ``combing`` phase
+    and a ``combing.leaf`` span carrying the grid shape."""
+    metrics = get_metrics()
+    metrics.inc("combing.leaf_calls", 1)
+    metrics.inc("combing.leaf_cells", m * n)
+    with phase("combing"), get_tracer().span("combing.leaf", args={"m": m, "n": n}):
+        yield
 
 
 def comb_cells(a_rev, cb, h, v, ranges, h_valid=None, b_valid=None) -> None:
@@ -322,10 +348,7 @@ def iterative_combing_antidiag_simd(
         dt = _strands_dtype(m, n, use_16bit_when_possible)
     else:
         dt = _checked_dtype(m, n, dtype)
-    metrics = get_metrics()
-    metrics.inc("combing.leaf_calls", 1)
-    metrics.inc("combing.leaf_cells", m * n)
-    with phase("combing"), get_tracer().span("combing.leaf", args={"m": m, "n": n}):
+    with leaf_span(m, n):
         h_strands = np.arange(m, dtype=dt)
         v_strands = np.arange(m, m + n, dtype=dt)
         a_rev = np.ascontiguousarray(ca[::-1])
@@ -379,17 +402,9 @@ def _region_braid_positions(
     h_in, v_in = cut_positions(d_lo, m, n)
     h_strands = h_in.copy()
     v_strands = v_in.copy()
-
-    def ranges():
-        for d in range(d_lo, d_hi):
-            i_lo = max(0, d - n + 1)
-            i_hi = min(m - 1, d)
-            length = i_hi - i_lo + 1
-            h_lo = m - 1 - i_hi
-            v_lo = d - i_hi
-            yield length, h_lo, v_lo
-
-    _comb_region_simd(a_rev, cb, h_strands, v_strands, ranges(), blend)
+    _comb_region_simd(
+        a_rev, cb, h_strands, v_strands, _antidiag_ranges(m, n, d_lo, d_hi), blend
+    )
     h_out, v_out = cut_positions(d_hi, m, n)
     perm = np.empty(m + n, dtype=np.int64)
     # the strand labelled with entry position h_strands[l] sits on

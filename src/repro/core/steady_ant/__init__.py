@@ -10,7 +10,9 @@ level-vectorized engine: breadth-first expansion with batched lane
 splits, identity-lane pruning (a sub-product with an identity factor is
 the other factor, which is what composition padding produces) and a
 batched dense (min,+) base case. Every Theorem 3.4/3.5 composition,
-incremental append/prepend, hybrid and grid combing uses it.
+hybrid and grid combing uses it. Incremental append/prepend multiplies
+nothing: it continues the cached kernel's comb
+(:func:`repro.core.incremental.extend_kernel`).
 
 The scalar recursions remain as the subjects of the paper's §5.1
 ablation (Fig. 4a); all are bit-identical to the default:

@@ -385,7 +385,8 @@ def diff_snapshots(after: dict[str, dict], before: dict[str, dict]) -> dict[str,
 #: suite keeps the two in sync.
 METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
     ("combing.leaf_calls", "counter", "calls", "core.combing",
-     "Invocations of the vectorized iterative combing leaf (semi_antidiag_SIMD)."),
+     "Invocations of the vectorized iterative combing leaf (semi_antidiag_SIMD), "
+     "continued combs of an appended/prepended block included."),
     ("combing.leaf_cells", "counter", "cells", "core.combing",
      "Grid cells combed by iterative leaves (m*n per leaf call)."),
     ("combing.grid_leaves", "counter", "blocks", "core.combing",
@@ -493,10 +494,11 @@ METRIC_CATALOG: tuple[tuple[str, str, str, str, str], ...] = (
     ("query.kernel_builds", "counter", "kernels", "query",
      "Fresh semi-local kernels combed on behalf of the query tier."),
     ("query.appends", "counter", "kernels", "query",
-     "Extended kernels produced by Theorem 3.4 append-composition instead of a recompute."),
+     "Extended kernels produced by continuing the cached kernel's comb over an appended "
+     "block instead of a recompute."),
     ("query.prepends", "counter", "kernels", "query",
-     "Extended kernels produced by the Theorem 3.5 flip of the append composition "
-     "(prefix combed, composed above the cached kernel)."),
+     "Extended kernels produced by a continued comb over a prepended block (the "
+     "Theorem 3.5 reversal of append)."),
     ("kernel.counter_builds", "counter", "structures", "core.kernel",
      "Dominance-counting structures constructed from scratch (a store hit that "
      "ships a persisted counter skips this)."),

@@ -67,22 +67,24 @@ QUERY_CATALOG: tuple[tuple[str, str, str, str, str, str], ...] = (
     (
         "append",
         "append(a, suffix, b) -> kernel of (a + suffix, b)",
-        "Extend a cached pair: compose the cached kernel P_{a,b} with the freshly combed "
-        "P_{suffix,b} instead of recombing the whole of `a + suffix`. The composite is cached "
-        "under the extended pair's key, so follow-up queries are hits.",
-        "Thm. 3.4 (kernel composition); flip identity Thm. 3.5 covers appends to b",
-        "one O(|suffix| * n) combing + one O(N log N) braid multiply (N = m + |suffix| + n)",
-        "inherits every per-query cost above on the composite kernel",
+        "Extend a cached pair: continue the comb whose state the cached kernel P_{a,b} is over "
+        "the suffix rows, instead of recombing the whole of `a + suffix`. The extended kernel is "
+        "cached under the extended pair's key, so follow-up queries are hits.",
+        "the comb state after the rows of `a` is the kernel (Krusche-Tiskin transposition "
+        "network); flip identity Thm. 3.5 covers appends to b",
+        "one O(|suffix| * n + m + n) continued comb, no braid multiply",
+        "inherits every per-query cost above on the extended kernel",
     ),
     (
         "prepend",
         "prepend(prefix, a, b) -> kernel of (prefix + a, b)",
-        "Extend a cached pair at the front: comb only P_{prefix,b} and compose it *above* the "
-        "cached P_{a,b} (the prefix is the top block of the vertical stack). The composite is "
-        "cached under the extended pair's key, so follow-up queries are hits.",
-        "Thm. 3.4 (kernel composition) — the Thm. 3.5 mirror of append",
-        "one O(|prefix| * n) combing + one O(N log N) braid multiply (N = |prefix| + m + n)",
-        "inherits every per-query cost above on the composite kernel",
+        "Extend a cached pair at the front: reverse both strings, continue the reversed pair's "
+        "comb over the reversed prefix, and map the kernel back. The extended kernel is cached "
+        "under the extended pair's key, so follow-up queries are hits.",
+        "the comb state is the kernel; prepend via the Thm. 3.5 reversal "
+        "P_{rev a, rev b} = inv(rot180(P_{a,b}))",
+        "one O(|prefix| * n + m + n) continued comb, no braid multiply",
+        "inherits every per-query cost above on the extended kernel",
     ),
 )
 

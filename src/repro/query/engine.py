@@ -19,11 +19,13 @@ cache plus the query algebra on top:
   ``all_suffix_scores``, ``substring_threshold_matches`` — each a
   *single batched* dominance probe (``count_many``) over the cached
   kernel instead of a Python loop of descents;
-- **incremental append / prepend** (Theorems 3.4 + 3.5) —
-  ``append(a, suffix, b)`` composes the cached ``P_{a,b}`` with a
-  freshly combed ``P_{suffix,b}``; ``prepend(prefix, a, b)`` stacks a
-  combed prefix block *above* the cached kernel. Both cache the
-  composite, so a growing string reuses its existing kernel instead of
+- **incremental append / prepend** — the cached ``P_{a,b}`` *is* the
+  comb's state after the rows of ``a``, so ``append(a, suffix, b)``
+  continues that comb over the suffix block and ``prepend(prefix, a,
+  b)`` does the same on the reversed pair (Thm 3.5's reversal):
+  :func:`~repro.core.incremental.extend_kernel`, ``O(s·n + m + n)`` for
+  an ``s``-symbol block, no braid multiply. Both cache the extended
+  kernel, so a growing string reuses its existing kernel instead of
   recombing from scratch.
 
 Kernels are keyed content-addressed under the canonical
@@ -43,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from ..alphabet import concat, encode
-from ..core.compose import compose_vertical
+from ..core.incremental import extend_kernel
 from ..core.kernel import SemiLocalKernel
 from ..errors import CheckpointCorruptionError, QueryError
 from ..obs.metrics import inc as _metric_inc
@@ -74,10 +76,6 @@ class QueryEngine:
     comb:
         Combing algorithm ``(ca, cb) -> kernel`` for cache misses;
         defaults to the vectorized anti-diagonal iterative combing.
-    multiply:
-        Braid multiplication used by :meth:`append` / :meth:`prepend`
-        compositions (default: the library's level-vectorized steady
-        ant, :data:`~repro.core.steady_ant.steady_ant_multiply`).
     """
 
     def __init__(
@@ -86,7 +84,6 @@ class QueryEngine:
         store=None,
         max_kernels: int = 64,
         comb=None,
-        multiply=None,
     ):
         if max_kernels <= 0:
             raise QueryError(f"max_kernels must be positive, got {max_kernels}")
@@ -95,9 +92,6 @@ class QueryEngine:
         if comb is None:
             from ..core.combing.iterative import iterative_combing_antidiag_simd as comb
         self._comb = comb
-        if multiply is None:
-            from ..core.steady_ant import steady_ant_multiply as multiply
-        self._multiply = multiply
         self._mem: "OrderedDict[str, SemiLocalKernel]" = OrderedDict()
         self._lock = threading.Lock()
         self.requests = 0
@@ -150,6 +144,20 @@ class QueryEngine:
         else one fresh combing (then cached at both levels)."""
         ca, cb = self._encoded(a, b)
         key = self.key_of(ca, cb)
+        kern = self._lookup(key, ca.size, cb.size)
+        if kern is not None:
+            return kern
+        self._count_miss()
+        perm = np.asarray(self._comb(ca, cb), dtype=np.int64)
+        with self._lock:
+            self.kernel_builds += 1
+        _metric_inc("query.kernel_builds", 1)
+        return self._install(key, perm, ca.size, cb.size)
+
+    def _lookup(self, key: str, m: int, n: int) -> SemiLocalKernel | None:
+        """The kernel under *key* from the memory LRU, else the backing
+        store (adopted into memory), counted as a hit; ``None`` on a miss
+        at both levels, which the caller counts."""
         kern = self._mem_get(key)
         if kern is not None:
             self._count_hit()
@@ -168,17 +176,12 @@ class QueryEngine:
                     try:
                         counter = counter_from_bytes(counter_bytes)
                     except ValueError:
-                        counter = None  # rebuild below; never trust a bad sidecar
-                kern = self._wrap(perm, ca.size, cb.size, counter=counter)
+                        counter = None  # the kernel rebuilds it; never trust a bad sidecar
+                kern = self._wrap(perm, m, n, counter=counter)
                 self._remember(key, kern)
                 self._count_hit()
                 return kern
-        self._count_miss()
-        perm = np.asarray(self._comb(ca, cb), dtype=np.int64)
-        with self._lock:
-            self.kernel_builds += 1
-        _metric_inc("query.kernel_builds", 1)
-        return self._install(key, perm, ca.size, cb.size)
+        return None
 
     def install_kernel(
         self, a: Sequenceish, b: Sequenceish, perm: PermArray
@@ -290,12 +293,13 @@ class QueryEngine:
     def append(
         self, a: Sequenceish, suffix: Sequenceish, b: Sequenceish
     ) -> SemiLocalKernel:
-        """Kernel of ``(a + suffix, b)`` by Theorem 3.4 composition.
+        """Kernel of ``(a + suffix, b)`` by continuing the cached comb.
 
         Reuses the cached ``P_{a,b}`` (building it on a true cold start),
-        combs only the suffix block, composes, and caches the composite
-        under the extended pair's key — so every later query on the
-        extended pair is a plain hit.
+        combs only the suffix block on top of its state
+        (:func:`~repro.core.incremental.extend_kernel`), and caches the
+        result under the extended pair's key — so every later query on
+        the extended pair is a plain hit.
         """
         return self._extend(a, suffix, b, top=False)
 
@@ -305,10 +309,10 @@ class QueryEngine:
         """Kernel of ``(prefix + a, b)`` — the Theorem 3.5 mirror of
         :meth:`append`.
 
-        Vertical composition stacks blocks top-down along ``a``, and the
-        *prefix* of the concatenated string is the *top* block — so
-        prepending combs only ``P_{prefix,b}`` and composes it **above**
-        the cached ``P_{a,b}``. The composite is cached under the
+        Reversing both strings turns the prefix into a suffix
+        (``P_{rev a, rev b} = inv(rot180(P_{a,b}))``), so prepending
+        continues the reversed pair's comb over the reversed prefix and
+        maps the result back. The extended kernel is cached under the
         extended pair's key, so a string growing at the front reuses its
         existing kernel just like :meth:`append` does at the back.
         """
@@ -324,23 +328,16 @@ class QueryEngine:
             return self.kernel(ca, cb)
         extended = concat([cx, ca] if top else [ca, cx])
         ext_key = self.key_of(extended, cb)
-        kern = self._mem_get(ext_key)
+        kern = self._lookup(ext_key, extended.size, cb.size)
         if kern is not None:
-            self._count_hit()
             return kern
         base = self.kernel(ca, cb)
-        upper = (np.asarray(self._comb(cx, cb), dtype=np.int64), cx.size)
-        lower = (base.kernel, base.m)
-        if not top:
-            upper, lower = lower, upper
-        composite = compose_vertical(
-            upper[0], lower[0], upper[1], lower[1], cb.size, self._multiply
-        )
+        perm = extend_kernel(base.kernel, ca.size, cb.size, cx, cb, top=top)
         counter = "prepends" if top else "appends"
         with self._lock:
             setattr(self, counter, getattr(self, counter) + 1)
         _metric_inc(f"query.{counter}", 1)
-        return self._install(ext_key, composite, extended.size, cb.size)
+        return self._install(ext_key, perm, extended.size, cb.size)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -349,7 +346,7 @@ class QueryEngine:
 
         Array results come back as plain lists so they serialize straight
         into the wire protocol; ``append`` and ``prepend`` answer with
-        the extended pair's global LCS score (the composite kernel is
+        the extended pair's global LCS score (the extended kernel is
         cached as a side effect).
         """
         if op not in QUERY_OPS:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.lcs_dp import lcs_score_scalar
 from repro.core.combing.iterative import (
+    _antidiag_ranges,
     cut_positions,
     iterative_combing_antidiag,
     iterative_combing_antidiag_simd,
@@ -112,6 +113,28 @@ class TestBlends:
         a, b = random_pair(rng, max_len=12)
         got = iterative_combing_antidiag_simd(a, b, blend=blend, dtype=np.uint16)
         assert np.array_equal(got, iterative_combing_rowmajor(a, b))
+
+
+class TestAntidiagRanges:
+    def test_every_shape_and_window_matches_the_cell_definition(self):
+        """Anti-diagonal ``d`` holds rows ``max(0, d-n+1)..min(m-1, d)``,
+        for tall grids (``m > n``) and any ``[d_lo, d_hi)`` window too."""
+        for m in range(9):
+            for n in range(9):
+                last = max(m + n - 1, 0)
+                for d_lo in range(last + 1):
+                    for d_hi in range(d_lo, last + 1):
+                        want = []
+                        for d in range(d_lo, d_hi):
+                            i_hi = min(m - 1, d)
+                            length = i_hi - max(0, d - n + 1) + 1
+                            if length > 0:
+                                want.append((length, m - 1 - i_hi, d - i_hi))
+                        assert list(_antidiag_ranges(m, n, d_lo, d_hi)) == want
+                if m and n:
+                    assert list(_antidiag_ranges(m, n)) == list(
+                        _antidiag_ranges(m, n, 0, last)
+                    )
 
 
 class TestCutPositions:

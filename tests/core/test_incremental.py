@@ -1,11 +1,11 @@
-"""Tests for the streaming KernelBuilder."""
+"""Tests for the streaming KernelBuilder and ``extend_kernel``."""
 
 import numpy as np
 import pytest
 
 from repro.alphabet import concat
 from repro.core.combing.iterative import iterative_combing_rowmajor
-from repro.core.incremental import KernelBuilder
+from repro.core.incremental import KernelBuilder, extend_kernel
 
 from ..conftest import random_codes
 
@@ -76,3 +76,19 @@ class TestKernelBuilder:
     def test_repr(self, rng):
         builder = KernelBuilder(random_codes(rng, 3)).append([1])
         assert "blocks=1" in repr(builder)
+
+
+class TestExtendKernel:
+    def test_empty_block_shifts_nothing(self, rng):
+        a, b = random_codes(rng, 5), random_codes(rng, 7)
+        perm = iterative_combing_rowmajor(a, b)
+        for top in (False, True):
+            assert np.array_equal(extend_kernel(perm, 5, 7, [], b, top=top), perm)
+
+    def test_rejects_a_kernel_of_another_shape(self, rng):
+        a, b = random_codes(rng, 5), random_codes(rng, 7)
+        perm = iterative_combing_rowmajor(a, b)
+        with pytest.raises(ValueError, match="does not fit m = 4, n = 7"):
+            extend_kernel(perm, 4, 7, [1], b)
+        with pytest.raises(ValueError):
+            extend_kernel(perm, 5, 7, [1], b[:6])

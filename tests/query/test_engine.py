@@ -151,6 +151,40 @@ class TestAppend:
         got = eng.answer("append", A, B, suffix="XYZ")
         assert got == lcs_score_dp(A + "XYZ", B)
 
+    def test_repeated_append_is_a_store_hit(self, tmp_path):
+        """A second engine on the same store (a second ``repro-lcs query
+        --op append`` run) answers the extension from the store: no
+        continued comb, no recomb, no second put."""
+        QueryEngine(store=KernelStore(tmp_path / "c")).append(A, "XYZ", B)
+        store = KernelStore(tmp_path / "c")
+        fresh = QueryEngine(store=store)
+        assert fresh.answer("append", A, B, suffix="XYZ") == lcs_score_dp(A + "XYZ", B)
+        assert fresh.appends == 0
+        assert fresh.kernel_builds == 0
+        assert fresh.kernel_hits == 1
+        assert store.writes == 0
+
+    def test_extension_runs_no_braid_multiply(self):
+        """Append and prepend continue the cached comb: one leaf comb of
+        the block each, and no steady-ant multiply."""
+        from repro.obs.metrics import get_metrics
+
+        eng = QueryEngine()
+        eng.kernel(A, B)
+        metrics = get_metrics()
+        names = ("steady_ant.multiplies", "steady_ant.vectorized_multiplies",
+                 "combing.leaf_calls", "combing.leaf_cells")
+        before = {name: metrics.counter(name).value for name in names}
+        eng.append(A, "XYZ", B)
+        eng.prepend("head", A + "XYZ", B)
+        delta = {name: metrics.counter(name).value - before[name] for name in names}
+        assert delta == {
+            "steady_ant.multiplies": 0,
+            "steady_ant.vectorized_multiplies": 0,
+            "combing.leaf_calls": 2,
+            "combing.leaf_cells": (3 + 4) * len(B),
+        }
+
 
 class TestPrepend:
     def test_prepend_equals_from_scratch(self):
@@ -177,6 +211,13 @@ class TestPrepend:
         eng = QueryEngine()
         got = eng.answer("prepend", A, B, prefix="XYZ")
         assert got == lcs_score_dp("XYZ" + A, B)
+
+    def test_repeated_prepend_is_a_store_hit(self, tmp_path):
+        QueryEngine(store=KernelStore(tmp_path / "c")).prepend("XYZ", A, B)
+        fresh = QueryEngine(store=KernelStore(tmp_path / "c"))
+        assert fresh.answer("prepend", A, B, prefix="XYZ") == lcs_score_dp("XYZ" + A, B)
+        assert fresh.prepends == 0
+        assert fresh.kernel_builds == 0
 
     def test_prepend_then_append_compose(self):
         eng = QueryEngine()
