@@ -16,11 +16,11 @@ lockstep megabatches and keeps a machine's workers saturated:
    state of pipelined rounds allocates zero new segments.
 3. **Round pipelining** — megabatches are dispatched ``workers`` at a
    time through ``submit_round_arrays`` / ``drain_round``; with
-   ``pipeline_depth = 2`` (double buffering) round ``k + 1`` is packed
-   while round ``k`` computes. Fault and chaos semantics are preserved
-   per round: chaos injects at submission, resilient recovery happens at
-   submit or drain, and slabs are recycled only after their round has
-   fully drained.
+   :data:`PIPELINE_DEPTH` ``= 2`` (double buffering) round ``k + 1`` is
+   packed while round ``k`` computes. Fault and chaos semantics are
+   preserved per round: chaos injects at submission, resilient recovery
+   happens at submit or drain, and slabs are recycled only after their
+   round has fully drained.
 
 Pairs the lockstep kernels cannot take (other algorithms, exotic
 kwargs) fall back to per-pair specs over the same machine — still one
@@ -53,6 +53,8 @@ from .lockstep import comb_lockstep, pack_lanes
 LOCKSTEP_ALGORITHM = "semi_antidiag_simd"
 #: kwargs the lockstep kernels understand; anything else forces fallback
 LOCKSTEP_KWARGS = frozenset({"blend", "use_16bit_when_possible"})
+#: maximum rounds in flight on a machine (2 = double buffering)
+PIPELINE_DEPTH = 2
 
 
 def lockstep_supported(algorithm: str, kwargs: dict) -> bool:
@@ -83,22 +85,22 @@ def _ceil_pow2(x: int, floor: int) -> int:
 
 
 class _Pipeline:
-    """Depth-bounded in-flight round queue (double buffering by default).
+    """In-flight round queue bounded at :data:`PIPELINE_DEPTH`.
 
     ``push`` submits a round and, when the queue is full, drains the
-    *oldest* first — so at most ``depth`` rounds are ever in flight and
-    packing of the next round overlaps compute of the previous ones.
+    *oldest* first — so at most ``PIPELINE_DEPTH`` rounds are ever in
+    flight and packing of the next round overlaps compute of the
+    previous ones. ``high_water`` is the most rounds ever in flight.
     """
 
-    def __init__(self, machine, depth: int):
+    def __init__(self, machine):
         self.machine = machine
-        self.depth = max(1, int(depth))
         self._inflight: deque = deque()
         self.high_water = 0
 
     def push(self, specs, finish) -> None:
         """Submit *specs*; ``finish(results)`` runs when the round drains."""
-        while len(self._inflight) >= self.depth:
+        while len(self._inflight) >= PIPELINE_DEPTH:
             self._drain_one()
         token = machine_submit_round(self.machine, specs)
         self._inflight.append((token, finish))
@@ -142,8 +144,6 @@ class BatchScheduler:
         strand state comfortably inside L2-per-core on common machines.
     min_side:
         Bucket floor: pairs smaller than this share the smallest bucket.
-    pipeline_depth:
-        Maximum rounds in flight (2 = double buffering).
     """
 
     def __init__(
@@ -153,7 +153,6 @@ class BatchScheduler:
         algorithm: str = LOCKSTEP_ALGORITHM,
         max_lanes: int = 64,
         min_side: int = 16,
-        pipeline_depth: int = 2,
         **algo_kwargs,
     ):
         if max_lanes < 1:
@@ -162,7 +161,6 @@ class BatchScheduler:
         self.algorithm = algorithm
         self.max_lanes = int(max_lanes)
         self.min_side = int(min_side)
-        self.pipeline_depth = int(pipeline_depth)
         self.algo_kwargs = dict(algo_kwargs)
         #: stats of the most recent :meth:`run` (pairs, megabatches,
         #: padded/real cells, fallback pairs, per-megabatch lane counts)
@@ -182,7 +180,9 @@ class BatchScheduler:
             raise ValueError(f"want must be 'kernels' or 'scores', got {want!r}")
         encoded = [(encode(a), encode(b)) for a, b in pairs]
         out: list = [None] * len(encoded)
-        stats = {"pairs": 0, "megabatches": 0, "padded": 0, "real": 0, "fallback": 0}
+        stats = {
+            "pairs": 0, "megabatches": 0, "padded": 0, "real": 0, "fallback": 0, "in_flight": 0,
+        }
         lanes_hist: list[int] = []
         work: list[tuple[int, np.ndarray, np.ndarray]] = []
         for i, (ca, cb) in enumerate(encoded):
@@ -213,7 +213,7 @@ class BatchScheduler:
         hist = metrics.histogram("batch.lanes")
         for lanes in lanes_hist:
             hist.observe(lanes)
-        metrics.gauge("batch.pipeline_depth").set_max(self.pipeline_depth)
+        metrics.gauge("batch.pipeline_depth").set_max(stats["in_flight"])
         self.last_stats = {**stats, "lanes": list(lanes_hist)}
         return out
 
@@ -228,7 +228,7 @@ class BatchScheduler:
                 out[i] = (np.asarray(res, dtype=np.int64), ca.size, cb.size) if want == "kernels" else res
             return
         specs = [(worker, (self.algorithm, ca, cb, self.algo_kwargs), {}) for i, ca, cb in work]
-        pipe = _Pipeline(self.machine, self.pipeline_depth)
+        pipe = _Pipeline(self.machine)
         chunk = max(1, getattr(self.machine, "workers", 1) or 1) * 4
 
         def finish(batch, results):
@@ -245,6 +245,7 @@ class BatchScheduler:
                 batch = work[lo : lo + chunk]
                 pipe.push(specs[lo : lo + chunk], partial(finish, batch))
             pipe.flush()
+            stats["in_flight"] = pipe.high_water
         except BaseException:
             pipe.abort()
             raise
@@ -282,7 +283,7 @@ class BatchScheduler:
             return
 
         workers = max(1, getattr(self.machine, "workers", 1) or 1)
-        pipe = _Pipeline(self.machine, self.pipeline_depth)
+        pipe = _Pipeline(self.machine)
 
         def finish(round_batches, round_slabs, results):
             try:
@@ -317,6 +318,7 @@ class BatchScheduler:
                     round_batches.append(lanes)
                 pipe.push(round_specs, partial(finish, round_batches, round_slabs))
             pipe.flush()
+            stats["in_flight"] = pipe.high_water
         except BaseException:
             pipe.abort()
             raise
@@ -341,7 +343,6 @@ def run_bit_batches(
     machine=None,
     w: int = 64,
     max_lanes: int = 64,
-    pipeline_depth: int = 2,
 ) -> np.ndarray:
     """Batched bit-parallel LCS scores for binary *code* pairs.
 
@@ -387,7 +388,7 @@ def run_bit_batches(
                 finish([lanes], [comb_bit_lockstep(*stacks, w=w)])
             return out
         workers = max(1, getattr(machine, "workers", 1) or 1)
-        pipe = _Pipeline(machine, pipeline_depth)
+        pipe = _Pipeline(machine)
         try:
             for lo in range(0, len(megabatches), workers):
                 round_specs = []

@@ -178,6 +178,42 @@ def _cmd_diff(args) -> int:
     return 0
 
 
+def _machine_options(args):
+    """Check the machine flags shared by ``parallel``, ``batch`` and
+    ``serve``; return the ``(FaultPolicy, chaos kwargs or None)`` pair,
+    or ``(None, None)`` for a command without fault flags."""
+    from .errors import ReproError
+    from .parallel import FaultPolicy
+
+    if args.transport == "shm" and args.backend != "processes":
+        raise ReproError(
+            "--transport shm requires --backend processes "
+            f"(got --backend {args.backend})"
+        )
+    if not hasattr(args, "retries"):
+        return None, None
+    policy = FaultPolicy(
+        task_timeout=args.task_timeout,
+        max_retries=args.retries,
+        degrade_to_serial=not args.no_degrade,
+        seed=args.seed,
+    )
+    chaos = {
+        "fail_rate": args.chaos_fail_rate,
+        "delay_rate": getattr(args, "chaos_delay_rate", 0.0),
+        "abort_after": args.chaos_abort_after,
+        "shm_loss_after": args.chaos_shm_loss_after,
+        "seed": args.seed,
+    }
+    active = (
+        chaos["fail_rate"] > 0
+        or chaos["delay_rate"] > 0
+        or chaos["abort_after"] is not None
+        or chaos["shm_loss_after"] is not None
+    )
+    return policy, chaos if active else None
+
+
 def _cmd_parallel(args) -> int:
     from .alphabet import encode
     from .core.combing.parallel import (
@@ -188,35 +224,11 @@ def _cmd_parallel(args) -> int:
     from .core.kernel import SemiLocalKernel
     from .core.steady_ant.parallel import steady_ant_parallel
     from .errors import ReproError
-    from .parallel import FaultPolicy, make_machine
+    from .parallel import make_machine
 
-    policy = FaultPolicy(
-        task_timeout=args.task_timeout,
-        max_retries=args.retries,
-        degrade_to_serial=not args.no_degrade,
-        seed=args.seed,
-    )
-    if args.transport == "shm" and args.backend != "processes":
-        raise ReproError(
-            "--transport shm requires --backend processes "
-            f"(got --backend {args.backend})"
-        )
+    policy, chaos = _machine_options(args)
     if args.chaos_shm_loss_after is not None and args.transport != "shm":
         raise ReproError("--chaos-shm-loss-after requires --transport shm")
-    chaos = None
-    if (
-        args.chaos_fail_rate > 0
-        or args.chaos_delay_rate > 0
-        or args.chaos_abort_after is not None
-        or args.chaos_shm_loss_after is not None
-    ):
-        chaos = {
-            "fail_rate": args.chaos_fail_rate,
-            "delay_rate": args.chaos_delay_rate,
-            "abort_after": args.chaos_abort_after,
-            "shm_loss_after": args.chaos_shm_loss_after,
-            "seed": args.seed,
-        }
     store = ckpt = None
     if args.checkpoint_dir:
         if args.algorithm != "hybrid":
@@ -311,14 +323,9 @@ def _cmd_batch(args) -> int:
 
     from .batch import batch_lcs, batch_semilocal_lcs
     from .checkpoint import cleanup_on_signals
-    from .errors import ReproError
     from .parallel import make_machine, release_all_arenas
 
-    if args.transport == "shm" and args.backend != "processes":
-        raise ReproError(
-            "--transport shm requires --backend processes "
-            f"(got --backend {args.backend})"
-        )
+    _machine_options(args)
     pairs = _read_pairs(args.pairs)
     machine = None
     if args.backend != "none":
@@ -378,33 +385,9 @@ def _cmd_batch(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from .errors import ReproError
-    from .parallel import FaultPolicy
     from .serve import Engine, LcsServer, ServerConfig
 
-    if args.transport == "shm" and args.backend != "processes":
-        raise ReproError(
-            "--transport shm requires --backend processes "
-            f"(got --backend {args.backend})"
-        )
-    chaos = None
-    if (
-        args.chaos_fail_rate > 0
-        or args.chaos_abort_after is not None
-        or args.chaos_shm_loss_after is not None
-    ):
-        chaos = {
-            "fail_rate": args.chaos_fail_rate,
-            "abort_after": args.chaos_abort_after,
-            "shm_loss_after": args.chaos_shm_loss_after,
-            "seed": args.seed,
-        }
-    policy: FaultPolicy | bool = FaultPolicy(
-        task_timeout=args.task_timeout,
-        max_retries=args.retries,
-        degrade_to_serial=not args.no_degrade,
-        seed=args.seed,
-    )
+    policy, chaos = _machine_options(args)
     engine = Engine(
         backend=args.backend,
         workers=args.workers,

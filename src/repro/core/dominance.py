@@ -16,7 +16,7 @@ structures [5, 6, 13]. This module implements:
 - :class:`DominanceCounter` — a merge-sort tree (Bentley-style
   multidimensional divide-and-conquer [5]): O(n log n) construction,
   O(log^2 n) per query. Kept as a benchmark subject and the scalar-loop
-  baseline of ``benchmarks/bench_pr9_query.py``;
+  baseline of the ``query`` section of ``benchmarks/gates.py``;
 - :class:`DenseCounter` — an explicit (n+1) x (n+1) prefix-count matrix:
   O(n^2) construction and memory, O(1) queries. The test oracle for the
   other two.

@@ -4,9 +4,9 @@ The scalar steady ant (:mod:`.sequential` / :mod:`.combined`) walks its
 divide-and-conquer tree node by node: every split, every base-case
 product and every rank computation is a separate Python-level NumPy call
 on a tiny array, so per-call dispatch overhead — not arithmetic —
-dominates below a few thousand strands (the same 198x gap
-``BENCH_batch.json`` exposed for per-pair combing). This module removes
-that overhead the way :mod:`repro.batch.lockstep` did for combing:
+dominates below a few thousand strands (the same gap the ``batch``
+section of ``BENCH.json`` exposes for per-pair combing). This module
+removes that overhead the way :mod:`repro.batch.lockstep` did for combing:
 process *all nodes of one recursion level as stacked batch lanes*.
 
 - **Splits** (`split_p`/`split_q` of :mod:`._core`) become lane-wise

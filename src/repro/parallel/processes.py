@@ -19,8 +19,8 @@ Two transports move array data (``transport=`` constructor knob):
 Either way, :meth:`run_round_arrays` submits the round in *chunks* (one
 future per chunk) to amortize executor overhead, and counts the exact
 serialized bytes shipped to (``bytes_shipped``) and returned from
-(``bytes_returned``) the workers — the counters the transport benchmark
-(`benchmarks/bench_pr3_transport.py`) compares across transports.
+(``bytes_returned``) the workers — the counters the ``transport`` section
+of ``benchmarks/gates.py`` compares across transports.
 
 Failure semantics (the contract the resilience layer builds on):
 

@@ -45,6 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from ..alphabet import concat, encode
+from ..core.combing.iterative import iterative_combing_antidiag_simd
 from ..core.incremental import extend_kernel
 from ..core.kernel import SemiLocalKernel
 from ..errors import CheckpointCorruptionError, QueryError
@@ -73,9 +74,9 @@ class QueryEngine:
     max_kernels:
         In-memory LRU capacity, counted in live kernels (each holds its
         permutation plus the dominance counter).
-    comb:
-        Combing algorithm ``(ca, cb) -> kernel`` for cache misses;
-        defaults to the vectorized anti-diagonal iterative combing.
+
+    Cache misses comb the pair with the vectorized anti-diagonal
+    iterative combing.
     """
 
     def __init__(
@@ -83,15 +84,11 @@ class QueryEngine:
         *,
         store=None,
         max_kernels: int = 64,
-        comb=None,
     ):
         if max_kernels <= 0:
             raise QueryError(f"max_kernels must be positive, got {max_kernels}")
         self.store = store
         self.max_kernels = int(max_kernels)
-        if comb is None:
-            from ..core.combing.iterative import iterative_combing_antidiag_simd as comb
-        self._comb = comb
         self._mem: "OrderedDict[str, SemiLocalKernel]" = OrderedDict()
         self._lock = threading.Lock()
         self.requests = 0
@@ -148,7 +145,7 @@ class QueryEngine:
         if kern is not None:
             return kern
         self._count_miss()
-        perm = np.asarray(self._comb(ca, cb), dtype=np.int64)
+        perm = np.asarray(iterative_combing_antidiag_simd(ca, cb), dtype=np.int64)
         with self._lock:
             self.kernel_builds += 1
         _metric_inc("query.kernel_builds", 1)

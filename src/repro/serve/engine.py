@@ -57,8 +57,8 @@ class Engine:
     algorithm:
         Semi-local kernel algorithm; the default is the lockstep-batched
         one (anything else rides the per-pair fallback path).
-    max_lanes / min_side / pipeline_depth:
-        :class:`~repro.batch.BatchScheduler` knobs.
+    max_lanes:
+        :class:`~repro.batch.BatchScheduler` megabatch width cap.
     policy:
         A :class:`~repro.parallel.resilient.FaultPolicy`; defaults to
         ``FaultPolicy()`` (retries + degrade-to-serial) on real
@@ -91,8 +91,6 @@ class Engine:
         transport: str = "pickle",
         algorithm: str = LOCKSTEP_ALGORITHM,
         max_lanes: int = 64,
-        min_side: int = 16,
-        pipeline_depth: int = 2,
         policy: FaultPolicy | bool | None = None,
         chaos: dict | None = None,
         warm_compute: bool = True,
@@ -106,8 +104,6 @@ class Engine:
         self.transport = transport
         self.algorithm = algorithm
         self.max_lanes = int(max_lanes)
-        self.min_side = int(min_side)
-        self.pipeline_depth = int(pipeline_depth)
         self.policy = policy
         self.chaos = dict(chaos) if chaos else None
         self.warm_compute = bool(warm_compute)
@@ -166,8 +162,6 @@ class Engine:
                 self.machine,
                 algorithm=self.algorithm,
                 max_lanes=self.max_lanes,
-                min_side=self.min_side,
-                pipeline_depth=self.pipeline_depth,
                 **self.algo_kwargs,
             )
             from ..query import QueryEngine

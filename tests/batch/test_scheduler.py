@@ -173,3 +173,45 @@ def test_metrics_accumulate(rng):
     assert metrics.get("batch.megabatches").value >= before["batch.megabatches"]
     real = sum(a.size * b.size for a, b in pairs)
     assert metrics.get("batch.real_cells").value - before["batch.real_cells"] == real
+
+
+@pytest.fixture
+def pipeline_gauge():
+    """The ``batch.pipeline_depth`` high-water gauge, zeroed for one test."""
+    gauge = get_metrics().get("batch.pipeline_depth")
+    saved = gauge.value
+    gauge.set(0)
+    yield gauge
+    gauge.set(saved)
+
+
+def _same_bucket(rng, count):
+    return [
+        (rng.integers(0, 4, 12).astype(np.int64), rng.integers(0, 4, 12).astype(np.int64))
+        for _ in range(count)
+    ]
+
+
+def test_pipeline_gauge_in_process_stays_flat(rng, pipeline_gauge):
+    sched = BatchScheduler(None)
+    sched.run(_same_bucket(rng, 6), want="scores")
+    assert sched.last_stats["in_flight"] == 0
+    assert pipeline_gauge.value == 0
+
+
+def test_pipeline_gauge_one_round(rng, pipeline_gauge):
+    sched = BatchScheduler(make_machine("serial"))
+    sched.run(_same_bucket(rng, 6), want="scores")
+    assert sched.last_stats["megabatches"] == 1
+    assert pipeline_gauge.value == 1
+
+
+def test_pipeline_gauge_is_the_high_water_mark(rng, pipeline_gauge):
+    # one worker, one lane per megabatch: five rounds through the
+    # double-buffered pipeline never hold more than two in flight
+    pairs = _same_bucket(rng, 5)
+    sched = BatchScheduler(make_machine("serial"), max_lanes=1)
+    scores = sched.run(pairs, want="scores")
+    assert sched.last_stats["megabatches"] == 5
+    assert pipeline_gauge.value == 2
+    assert scores == list(batch_lcs(pairs))
